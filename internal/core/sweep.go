@@ -157,18 +157,24 @@ func (s *SweepSpec) validate() error {
 				g.Ways, g.BanksPerWay, g.RowsPerBank, g.BitsPerRow, g.PathsPerBank)
 		}
 	}
-	points := 1
-	for _, ax := range s.Axes {
-		points *= len(ax.Values)
-		if points > maxSweepConfigs {
-			return fmt.Errorf("sweep: tech grid exceeds %d points", maxSweepConfigs)
-		}
-	}
-	total := points * len(s.Constraints) * len(s.Geometries)
-	if total > maxSweepConfigs {
+	if total := s.ConfigCount(); total > maxSweepConfigs {
 		return fmt.Errorf("sweep: %d configs exceed the %d-config planner cap", total, maxSweepConfigs)
 	}
 	return nil
+}
+
+// ConfigCount is the number of configs PlanSweep resolves s to: tech
+// grid points × constraint sets × geometries, where an empty list
+// takes fill's single default. It builds nothing, so a caller can
+// refuse an oversized grid from its dimensions alone; the count
+// saturates at 2^31 so it cannot overflow.
+func (s SweepSpec) ConfigCount() int {
+	const ceiling = 1 << 31
+	n := min(max(len(s.Constraints), 1)*max(len(s.Geometries), 1), ceiling)
+	for _, ax := range s.Axes {
+		n = min(n*len(ax.Values), ceiling)
+	}
+	return n
 }
 
 // SweepConfig is one fully resolved point of the design space: a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,6 +48,40 @@ func TestPlanSweepValidation(t *testing.T) {
 		if _, err := PlanSweep(spec); err == nil {
 			t.Errorf("spec %d accepted, want error", i)
 		}
+	}
+}
+
+// TestSweepConfigCount checks that ConfigCount, which admission limits
+// rest on, agrees with the configs PlanSweep builds — empty lists
+// included — and refuses a grid past the planner cap without planning.
+func TestSweepConfigCount(t *testing.T) {
+	specs := []SweepSpec{
+		{N: 8},
+		{N: 8, Axes: []TechAxis{{Param: "vdd", Values: []float64{0.9, 1, 1.1}}}},
+		{N: 8, Axes: []TechAxis{
+			{Param: "vdd", Values: []float64{0.9, 1}},
+			{Param: "alpha", Values: []float64{1.2, 1.3, 1.4}},
+		}, Constraints: []Constraints{Nominal(), Strict()},
+			Geometries: []sram.Geometry{sram.Paper16KB(), sram.Paper16KB()}},
+	}
+	for i, spec := range specs {
+		plan, err := PlanSweep(spec)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		if got, want := spec.ConfigCount(), len(plan.Configs); got != want {
+			t.Errorf("spec %d: ConfigCount = %d, planner built %d", i, got, want)
+		}
+	}
+	huge := SweepSpec{N: 8, Axes: []TechAxis{
+		{Param: "vdd", Values: make([]float64, 1<<11)},
+		{Param: "alpha", Values: make([]float64, 1<<11)},
+	}}
+	if got := huge.ConfigCount(); got != 1<<22 {
+		t.Errorf("huge ConfigCount = %d, want %d", got, 1<<22)
+	}
+	if _, err := PlanSweep(huge); err == nil || !strings.Contains(err.Error(), "planner cap") {
+		t.Errorf("grid past the planner cap: err = %v", err)
 	}
 }
 

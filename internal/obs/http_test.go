@@ -134,3 +134,50 @@ func TestInstrumentFlushCommitsStatus(t *testing.T) {
 		t.Errorf("flush-first request not recorded as 200 (count = %d)", got)
 	}
 }
+
+// Regression: the request counter must move when the status is
+// written, not when the handler returns — a client that has read the
+// response and scrapes /metrics before the handler's deferred work
+// finishes must already see its request counted. The handler here
+// writes its response, then blocks until the test has read the counter.
+func TestInstrumentCountsWhenStatusWritten(t *testing.T) {
+	reg := Enable()
+	defer Disable()
+
+	wrote := make(chan struct{})
+	counted := make(chan struct{})
+	h := Instrument("early", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte("done"))
+		close(wrote)
+		<-counted
+	}))
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+	}()
+
+	<-wrote
+	got := reg.Counter(`http_requests_total{handler="early",code="202"}`).Value()
+	close(counted)
+	<-served
+	if got != 1 {
+		t.Errorf("request counted %d times while the handler was still running, want 1", got)
+	}
+	if got := reg.Counter(`http_requests_total{handler="early",code="202"}`).Value(); got != 1 {
+		t.Errorf("request counted %d times after the handler returned, want 1", got)
+	}
+}
+
+// A handler that writes nothing still counts once, as an implicit 200.
+func TestInstrumentCountsImplicitOK(t *testing.T) {
+	reg := Enable()
+	defer Disable()
+
+	h := Instrument("silent", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+	if got := reg.Counter(`http_requests_total{handler="silent",code="200"}`).Value(); got != 1 {
+		t.Errorf("silent handler counted %d times as 200, want 1", got)
+	}
+}

@@ -33,21 +33,22 @@ func (s *Server) storeDo(op string, fn func() error) {
 // The non-synchronised job fields read here (started, class, errMsg)
 // are only ever written by the goroutine calling persistJob, so the
 // reads are race-free.
-func (s *Server) persistJob(j *job, p params, state string) {
+func (s *Server) persistJob(j *job, req jobRequest, state string) {
 	if s.store == nil {
 		return
 	}
+	in := req.info()
 	rec := store.JobRecord{
 		ID: j.id, Seq: j.seq, Key: j.key, State: state,
-		Seed: p.seed, Chips: p.chips,
-		ConsName: p.cons.Name, DelaySigmaK: p.cons.DelaySigmaK, LeakageMult: p.cons.LeakageMult,
-		Schemes: p.schemes, TimeoutMS: p.timeout.Milliseconds(),
-		TargetCIWidth: p.targetCI, Confidence: p.confidence,
+		Seed: in.seed, Chips: in.chips, ConsName: in.constraints,
+		Schemes: in.schemes, TimeoutMS: in.timeout.Milliseconds(),
+		Kind:          j.kind,
 		EarlyStop:     j.earlyStop.Load(),
 		Restarts:      j.restarts,
 		QueueWaitMS:   j.priorWaitMS,
 		CreatedUnixMS: j.created.UnixMilli(),
 	}
+	req.fillRecord(&rec)
 	if state != jobQueued && !j.started.IsZero() {
 		rec.QueueWaitMS = j.priorWaitMS + j.started.Sub(j.admitted).Seconds()*1e3
 	}
@@ -58,10 +59,10 @@ func (s *Server) persistJob(j *job, p params, state string) {
 	s.storeDo("put_job", func() error { return s.store.PutJob(rec) })
 }
 
-// persistOutcome records a build's terminal state: the final job
-// record, the cached result body, evicted results, expired idempotency
-// keys, and the checkpoint that is no longer needed.
-func (s *Server) persistOutcome(j *job, p params, c *call, key string, cached bool, evicted, expiredIdem []string) {
+// persistOutcome records a job's terminal state: the final job record,
+// the cached result body, evicted results, expired idempotency keys,
+// and the checkpoint that is no longer needed.
+func (s *Server) persistOutcome(j *job, req jobRequest, c *call, cached bool, evicted, expiredIdem []string) {
 	if s.store == nil {
 		return
 	}
@@ -69,21 +70,19 @@ func (s *Server) persistOutcome(j *job, p params, c *call, key string, cached bo
 	if c.err != nil {
 		state = jobFailed
 	}
-	s.persistJob(j, p, state)
+	s.persistJob(j, req, state)
 	if cached {
 		if body, err := json.Marshal(c.res); err == nil {
-			s.storeDo("put_result", func() error { return s.store.PutResult(key, body) })
+			s.storeDo("put_result", func() error { return s.store.PutResult(j.key, body) })
 		}
 	}
 	for _, old := range evicted {
-		old := old
 		s.storeDo("delete_result", func() error { return s.store.DeleteResult(old) })
 	}
 	for _, ik := range expiredIdem {
-		ik := ik
 		s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(ik) })
 	}
-	if s.cfg.CheckpointInterval > 0 || c.resume != nil {
+	if s.cfg.CheckpointInterval > 0 || req.info().resumed > 0 {
 		s.storeDo("delete_checkpoint", func() error { return s.store.DeleteCheckpoint(j.id) })
 	}
 }
@@ -147,7 +146,7 @@ func (s *Server) recordIdem(idemKey, bodyHash, studyKey, jobID string) {
 // replay of the recorded response, or coalescing onto the in-flight
 // build — it unlocks and returns true. Otherwise the stale record (if
 // any) is expired and the caller proceeds with the lock still held.
-func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKey, bodyHash string, p params) bool {
+func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKey, bodyHash string, req jobRequest) bool {
 	rec, ok := s.idem[idemKey]
 	if !ok {
 		return false
@@ -160,22 +159,22 @@ func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKe
 			"Idempotency-Key was already used with a different request body")
 		return true
 	}
-	if res, hit := s.cache[rec.StudyKey].(*StudyResponse); hit {
+	if res, hit := s.cache[rec.StudyKey]; hit {
 		s.mu.Unlock()
 		obs.C("server_idempotent_replays_total").Inc()
 		if j, found := s.jobsReg.lookupKey(rec.StudyKey); found {
 			j.cacheHits.Add(1)
 		}
 		w.Header().Set("Idempotency-Replayed", "true")
-		s.log.Debug("study replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
-		writeResult(w, res, p, true, rec.JobID)
+		s.log.Debug(req.kind().name+" replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
+		writeResult(w, req, res, true, rec.JobID)
 		return true
 	}
 	if c, flying := s.inflight[rec.StudyKey]; flying {
 		s.mu.Unlock()
-		obs.C("server_study_coalesced_total").Inc()
+		obs.C(req.kind().metric("coalesced")).Inc()
 		c.job.coalesced.Add(1)
-		s.await(w, r, c, p)
+		s.await(w, r, c, req)
 		return true
 	}
 	// The recorded result was evicted (or its build failed): the key
@@ -201,27 +200,41 @@ func (s *Server) expireIdemLocked(studyKey string) []string {
 	return expired
 }
 
-// paramsFromRecord rebuilds the canonical study parameters from a
-// persisted job record, so a resumed build runs exactly the study the
-// crashed server admitted.
-func (s *Server) paramsFromRecord(rec store.JobRecord) params {
+// recordTimeout is a persisted job's timeout; records without one take
+// the server default.
+func (s *Server) recordTimeout(rec store.JobRecord) time.Duration {
+	if rec.TimeoutMS <= 0 {
+		return s.cfg.DefaultTimeout
+	}
+	return time.Duration(rec.TimeoutMS) * time.Millisecond
+}
+
+// restoreStudy rebuilds the canonical study parameters from a persisted
+// job record, so a resumed build runs exactly the study the crashed
+// server admitted, continuing from its checkpoint when that decodes.
+func restoreStudy(s *Server, rec store.JobRecord, ckpt []byte) (jobRequest, error) {
 	p := params{
 		seed:       rec.Seed,
 		chips:      rec.Chips,
 		cons:       yieldcache.Constraints{Name: rec.ConsName, DelaySigmaK: rec.DelaySigmaK, LeakageMult: rec.LeakageMult},
 		schemes:    rec.Schemes,
-		timeout:    time.Duration(rec.TimeoutMS) * time.Millisecond,
+		timeout:    s.recordTimeout(rec),
 		targetCI:   rec.TargetCIWidth,
 		confidence: rec.Confidence,
-	}
-	if p.timeout <= 0 {
-		p.timeout = s.cfg.DefaultTimeout
 	}
 	if p.confidence <= 0 {
 		// Records from before the estimation layer carry no confidence.
 		p.confidence = 0.95
 	}
-	return p
+	if ckpt != nil {
+		bc, err := yieldcache.DecodeBuildCheckpoint(bytes.NewReader(ckpt))
+		if err != nil {
+			s.log.Warn("checkpoint unreadable; resuming from scratch", "job", rec.ID, "error", err)
+		} else {
+			p.resume = bc
+		}
+	}
+	return p, nil
 }
 
 // recoverFromStore replays the store into the server's in-memory state:
@@ -246,21 +259,13 @@ func (s *Server) recoverFromStore() {
 			start = len(rec.Results) - s.cfg.CacheEntries
 		}
 		for _, res := range rec.Results[start:] {
-			var body any
+			body := any(new(StudyResponse))
 			if strings.HasPrefix(res.Key, sweepKeyPrefix) {
-				var sw SweepResponse
-				if err := json.Unmarshal(res.Body, &sw); err != nil {
-					s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
-					continue
-				}
-				body = &sw
-			} else {
-				var sr StudyResponse
-				if err := json.Unmarshal(res.Body, &sr); err != nil {
-					s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
-					continue
-				}
-				body = &sr
+				body = new(SweepResponse)
+			}
+			if err := json.Unmarshal(res.Body, body); err != nil {
+				s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
+				continue
 			}
 			s.cache[res.Key] = body
 			s.order = append(s.order, res.Key)
@@ -290,11 +295,7 @@ func (s *Server) recoverFromStore() {
 		case jobDone, jobFailed:
 			s.jobsReg.restoreFinished(jr, s.log)
 		case jobQueued, jobRunning:
-			if jr.Kind == jobKindSweep {
-				s.resumeSweepJob(jr)
-			} else {
-				s.resumeJob(jr)
-			}
+			s.resumeJob(jr)
 			resumed++
 		}
 	}
@@ -305,73 +306,85 @@ func (s *Server) recoverFromStore() {
 }
 
 // resumeJob re-admits one interrupted job under its original id,
-// loading its newest checkpoint so the build continues where the dead
+// loading its newest checkpoint so the job continues where the dead
 // process stopped (an unreadable checkpoint falls back to a full
-// rebuild — correctness never depends on the checkpoint).
+// rerun — correctness never depends on the checkpoint). A record its
+// kind cannot rebuild fails the job terminally: there is nothing to
+// re-run.
 func (s *Server) resumeJob(jr store.JobRecord) {
-	p := s.paramsFromRecord(jr)
-	key := jr.Key
-	var resume *yieldcache.BuildCheckpoint
-	ckptChips := 0
-	if data, chips, err := s.store.Checkpoint(jr.ID); err == nil {
-		bc, derr := yieldcache.DecodeBuildCheckpoint(bytes.NewReader(data))
-		if derr != nil {
-			s.log.Warn("checkpoint unreadable; resuming from scratch", "job", jr.ID, "error", derr)
-		} else {
-			resume, ckptChips = bc, chips
-		}
+	k := kindOf(jr.Kind)
+	var ckpt []byte
+	if data, _, err := s.store.Checkpoint(jr.ID); err == nil {
+		ckpt = data
+	}
+	req, err := k.restore(s, jr, ckpt)
+	if err != nil {
+		s.log.Warn(k.name+" spec unreadable; job failed", "job", jr.ID, "error", err)
+		jr.State = jobFailed
+		jr.Class = string(obs.ClassInternal)
+		jr.Error = k.name + " spec unreadable after restart: " + err.Error()
+		s.jobsReg.restoreFinished(jr, s.log)
+		s.storeDo("put_job", func() error { return s.store.PutJob(jr) })
+		return
 	}
 
+	in := req.info()
 	j := s.jobsReg.restoreResumed(jr, s.log)
-	c := &call{done: make(chan struct{}), job: j, resume: resume}
+	c := &call{done: make(chan struct{}), job: j}
 	s.mu.Lock()
-	s.inflight[key] = c
+	s.inflight[jr.Key] = c
 	s.jobs++
 	admitted := s.jobs
 	s.mu.Unlock()
 	obs.G("server_jobs_admitted").Set(float64(admitted))
 	obs.C("server_jobs_resumed_total").Inc()
 	s.wg.Add(1)
-	s.bus.Publish(obs.Event{Type: obs.EventJobResumed, Job: j.id, Key: key,
-		Done: int64(ckptChips), Total: int64(p.chips), Restarts: j.restarts})
-	j.scope.Log().Info("job resumed from store",
-		"restarts", j.restarts, "checkpoint_chips", ckptChips,
-		"seed", p.seed, "chips", p.chips)
+	s.bus.Publish(obs.Event{Type: obs.EventJobResumed, Job: j.id, Key: jr.Key,
+		Done: int64(in.resumed), Total: int64(in.total), Restarts: j.restarts})
+	j.scope.Log().Info("job resumed from store", "kind", k.name,
+		"restarts", j.restarts, "checkpoint_done", in.resumed, "total", in.total,
+		"seed", in.seed, "chips", in.chips)
 	// Persist the bumped restart count right away, so a crash during
-	// the resumed build counts this lifetime too.
-	s.persistJob(j, p, jobQueued)
-	go s.run(key, p, c)
+	// the resumed job counts this lifetime too.
+	s.persistJob(j, req, jobQueued)
+	go s.run(req, c)
 }
 
-// restoreFinished rebuilds one finished job's history entry from its
-// persisted record. Span traces and exact timings died with the old
-// process; identity, outcome and provenance survive.
-func (r *jobRegistry) restoreFinished(rec store.JobRecord, base *slog.Logger) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec.Seq > r.seq {
-		r.seq = rec.Seq
-	}
+// restoreLocked rebuilds a persisted job's registry entry under its
+// original id — X-Job-Id stays valid across the restart. The caller
+// holds r.mu and completes the entry as history or as a resumed job.
+func (r *jobRegistry) restoreLocked(rec store.JobRecord, base *slog.Logger) *job {
+	r.seq = max(r.seq, rec.Seq)
 	j := &job{
 		id: rec.ID, seq: rec.Seq, key: rec.Key,
-		kind: rec.Kind, spec: rec.Spec,
+		kind:  rec.Kind,
 		scope: obs.NewScope(rec.ID, base),
 		seed:  rec.Seed, chips: rec.Chips,
 		constraints: rec.ConsName, schemes: rec.Schemes,
 		created:     time.UnixMilli(rec.CreatedUnixMS),
-		state:       rec.State,
-		class:       obs.ErrClass(rec.Class),
-		errMsg:      rec.Error,
 		restarts:    rec.Restarts,
 		priorWaitMS: rec.QueueWaitMS,
 	}
+	r.byID[j.id] = j
+	return j
+}
+
+// restoreFinished rebuilds one finished job's history entry from its
+// persisted record, with its progress total in its kind's unit. Span
+// traces and exact timings died with the old process; identity,
+// outcome and provenance survive.
+func (r *jobRegistry) restoreFinished(rec store.JobRecord, base *slog.Logger) {
+	total := kindOf(rec.Kind).total(rec)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	j := r.restoreLocked(rec, base)
+	j.state, j.class, j.errMsg = rec.State, obs.ErrClass(rec.Class), rec.Error
 	j.admitted = j.created
 	j.earlyStop.Store(rec.EarlyStop)
-	j.scope.SetProgressTotal(int64(rec.Chips))
+	j.scope.SetProgressTotal(int64(total))
 	if rec.State == jobDone && !rec.EarlyStop {
-		j.scope.AddProgress(int64(rec.Chips))
+		j.scope.AddProgress(int64(total))
 	}
-	r.byID[j.id] = j
 	if rec.State == jobDone {
 		r.byKey[j.key] = j
 	}
@@ -379,29 +392,14 @@ func (r *jobRegistry) restoreFinished(rec store.JobRecord, base *slog.Logger) {
 	r.evictLocked()
 }
 
-// restoreResumed rebuilds an interrupted job under its original id —
-// X-Job-Id stays valid across the restart — with its restart count
+// restoreResumed rebuilds an interrupted job with its restart count
 // bumped and its past queue waits carried in priorWaitMS.
 func (r *jobRegistry) restoreResumed(rec store.JobRecord, base *slog.Logger) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rec.Seq > r.seq {
-		r.seq = rec.Seq
-	}
-	j := &job{
-		id: rec.ID, seq: rec.Seq, key: rec.Key,
-		kind: rec.Kind, spec: rec.Spec,
-		scope: obs.NewScope(rec.ID, base),
-		seed:  rec.Seed, chips: rec.Chips,
-		constraints: rec.ConsName, schemes: rec.Schemes,
-		created:     time.UnixMilli(rec.CreatedUnixMS),
-		state:       jobQueued,
-		restarts:    rec.Restarts + 1,
-		priorWaitMS: rec.QueueWaitMS,
-	}
-	j.admitted = time.Now()
+	j := r.restoreLocked(rec, base)
+	j.state, j.restarts, j.admitted = jobQueued, rec.Restarts+1, time.Now()
 	j.scope.AttachEvents(r.bus, r.streamInterval)
-	r.byID[j.id] = j
 	r.byKey[j.key] = j
 	return j
 }

@@ -23,10 +23,6 @@ const (
 	jobFailed  = "failed"  // finished with an error (timeout, cancel, …)
 )
 
-// jobKindSweep marks a design-space sweep job; the empty kind is a
-// study build. The value is persisted in store.JobRecord.Kind.
-const jobKindSweep = "sweep"
-
 // job is one admitted build and its telemetry scope. The scope's
 // progress counters are updated lock-free by the build workers; every
 // other mutable field is guarded by the owning jobRegistry's mutex.
@@ -36,10 +32,8 @@ type job struct {
 	key   string // canonical study/sweep key; ties cache hits back to the job
 	scope *obs.Scope
 
-	// kind is "" for study builds, "sweep" for design-space sweeps; spec
-	// holds a sweep's canonical resolved request JSON for persistence.
+	// kind is "" for study builds, "sweep" for design-space sweeps.
 	kind string
-	spec []byte
 
 	// Echoed request parameters, immutable after creation.
 	seed        int64
@@ -100,27 +94,27 @@ func newJobRegistry(maxDone int, bus *obs.EventBus, streamInterval time.Duration
 	}
 }
 
-// create registers a queued job for one admitted build. base is the
+// create registers a queued job for one admitted request. base is the
 // server's logger; the job's scope stamps it with the job id.
-func (r *jobRegistry) create(p params, key string, base *slog.Logger) *job {
+func (r *jobRegistry) create(req jobRequest, base *slog.Logger) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j := r.newJobLocked(p, key, base)
+	j := r.newJobLocked(req, base)
 	j.state = jobQueued
 	r.byID[j.id] = j
-	r.byKey[key] = j
+	r.byKey[j.key] = j
 	return j
 }
 
 // createFailed registers a job that never ran — a shed request — in
 // its terminal state, so /v1/jobs shows refused work alongside the
 // builds. The job goes straight into the bounded finished history and
-// deliberately stays out of byKey: a later cache hit on the same study
+// deliberately stays out of byKey: a later cache hit on the same key
 // must attribute to the job that actually built the entry.
-func (r *jobRegistry) createFailed(p params, key string, class obs.ErrClass, msg string) *job {
+func (r *jobRegistry) createFailed(req jobRequest, class obs.ErrClass, msg string) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j := r.newJobLocked(p, key, nil)
+	j := r.newJobLocked(req, nil)
 	j.state = jobFailed
 	j.finished = j.created
 	j.class = class
@@ -133,37 +127,24 @@ func (r *jobRegistry) createFailed(p params, key string, class obs.ErrClass, msg
 
 // newJobLocked allocates the next job id and its scope; the caller
 // holds r.mu and sets the lifecycle state.
-func (r *jobRegistry) newJobLocked(p params, key string, base *slog.Logger) *job {
+func (r *jobRegistry) newJobLocked(req jobRequest, base *slog.Logger) *job {
 	r.seq++
 	id := fmt.Sprintf("j%06d", r.seq)
+	in := req.info()
 	j := &job{
 		id:          id,
 		seq:         r.seq,
-		key:         key,
+		key:         req.key(),
+		kind:        req.kind().record,
 		scope:       obs.NewScope(id, base),
-		seed:        p.seed,
-		chips:       p.chips,
-		constraints: p.cons.Name,
-		schemes:     p.schemes,
+		seed:        in.seed,
+		chips:       in.chips,
+		constraints: in.constraints,
+		schemes:     in.schemes,
 		created:     time.Now(),
 	}
 	j.admitted = j.created
 	j.scope.AttachEvents(r.bus, r.streamInterval)
-	return j
-}
-
-// createSweep registers a queued sweep job. The params echo the sweep's
-// shared knobs (seed, per-config population, scheme set); the job's
-// progress counters run in configs rather than chips.
-func (r *jobRegistry) createSweep(p params, key string, spec []byte, base *slog.Logger) *job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j := r.newJobLocked(p, key, base)
-	j.kind = jobKindSweep
-	j.spec = spec
-	j.state = jobQueued
-	r.byID[j.id] = j
-	r.byKey[key] = j
 	return j
 }
 
@@ -180,8 +161,9 @@ func (r *jobRegistry) markRunning(j *job) time.Duration {
 
 // finish transitions a job to done/failed — stamping its error class —
 // and folds it into the bounded history, evicting oldest finished jobs
-// beyond the cap.
-func (r *jobRegistry) finish(j *job, err error) {
+// beyond the cap. It returns the job's run time (zero if it never got
+// a worker slot).
+func (r *jobRegistry) finish(j *job, err error) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j.finished = time.Now()
@@ -193,6 +175,10 @@ func (r *jobRegistry) finish(j *job, err error) {
 	}
 	r.done = append(r.done, j)
 	r.evictLocked()
+	if j.started.IsZero() {
+		return 0
+	}
+	return j.finished.Sub(j.started)
 }
 
 // evictLocked drops the oldest finished jobs beyond the history cap;
@@ -264,13 +250,17 @@ func (r *jobRegistry) summaryLocked(j *job) JobSummary {
 	}
 }
 
-// totalChips sums the chip progress of every tracked job; the flight
-// recorder diffs successive sums into the build_chips_per_second gauge.
+// totalChips sums the chip progress of every tracked study job (sweeps
+// count configs, not chips); the flight recorder diffs successive sums
+// into the build_chips_per_second gauge.
 func (r *jobRegistry) totalChips() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var total int64
 	for _, j := range r.byID {
+		if j.kind != "" {
+			continue
+		}
 		done, _ := j.scope.Progress()
 		total += done
 	}
@@ -293,17 +283,25 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleJob serves GET /v1/jobs/{id}: live state, queue wait, progress,
-// an EWMA-based completion estimate, and cache-hit provenance.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// getJob answers the method and unknown-id errors shared by the
+// GET /v1/jobs/{id} routes; ok reports that the handler may proceed.
+func (s *Server) getJob(w http.ResponseWriter, r *http.Request) (j *job, ok bool) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+		return nil, false
 	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
-	if !ok {
+	if j, ok = s.jobsReg.get(r.PathValue("id")); !ok {
 		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
+	}
+	return j, ok
+}
+
+// handleJob serves GET /v1/jobs/{id}: live state, queue wait, progress,
+// an EWMA-based completion estimate, and cache-hit provenance.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.getJob(w, r)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.jobDetail(j))
@@ -314,14 +312,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // or ui.perfetto.dev. For a running job the trace is a live snapshot
 // with open spans closed at "now".
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
+	j, ok := s.getJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -333,14 +325,8 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // build runs, the final estimate once it is done. A job whose build has
 // not yet published a snapshot (or that never ran) returns 404.
 func (s *Server) handleJobEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
+	j, ok := s.getJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
 		return
 	}
 	e := j.estimate.Load()

@@ -12,6 +12,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -22,6 +23,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -149,18 +151,76 @@ func (c *Config) fill() {
 // studyBuilder builds a study; tests swap it for a controllable fake.
 type studyBuilder func(ctx context.Context, cfg yieldcache.StudyConfig) (*yieldcache.Study, error)
 
-// call is one in-progress build; requests for the same canonical key
-// wait on done instead of building again. A call carries either a study
-// (res) or a sweep (sweep) result, never both — the job's kind decides.
+// call is one in-progress job; requests for the same canonical key
+// wait on done instead of running it again.
 type call struct {
-	done   chan struct{}
-	job    *job                        // the build's job-registry entry; immutable
-	resume *yieldcache.BuildCheckpoint // non-nil when resuming a crashed study build
-	res    *StudyResponse              // immutable once done is closed
-	err    error
+	done chan struct{}
+	job  *job // the job-registry entry; immutable
+	res  any  // the kind's full response; immutable once done is closed
+	err  error
+}
 
-	sweepResume map[int]SweepConfigResult // per-config checkpoint of a resumed sweep
-	sweep       *SweepResponse            // immutable once done is closed
+// jobKind is one job-producing endpoint's part of the job lifecycle.
+// Admission, shedding, singleflight coalescing, the result cache,
+// Idempotency-Key replay, run, await, persistence and crash resume are
+// one path for every kind; a kind contributes only its naming, parse
+// restore and progress total here, and compute, presentation and its record fields on
+// its parsed jobRequest.
+type jobKind struct {
+	name   string // "study" or "sweep": metric names, error messages
+	record string // store.JobRecord.Kind and JobSummary.Kind; "" for studies
+	salt   string // hashed ahead of the body for Idempotency-Key records
+	// parse decodes and validates a request body.
+	parse func(s *Server, body []byte) (jobRequest, error)
+	// restore rebuilds a persisted job's request from its record and,
+	// when ckpt is non-nil, the checkpoint it resumes from. An unreadable
+	// checkpoint is logged and ignored; only an unreadable record errors.
+	restore func(s *Server, rec store.JobRecord, ckpt []byte) (jobRequest, error)
+	// total is a persisted job's progress total in the kind's unit, read
+	// from its record without rebuilding the job.
+	total func(rec store.JobRecord) int
+}
+
+// jobRequest is one parsed request of some job kind: params for
+// POST /v1/study, sweepParams for POST /v1/sweep.
+type jobRequest interface {
+	kind() *jobKind
+	// key is the canonical cache/singleflight key: every request that
+	// must produce the same response body shares it, and no two kinds
+	// share a key space (sweep keys carry the "sweep/" prefix).
+	key() string
+	// info describes the job to the registry, logs and events.
+	info() jobInfo
+	// compute runs the job under ctx and returns its full cacheable
+	// response.
+	compute(ctx context.Context, s *Server, j *job) (any, error)
+	// present applies this request's presentation (the Cached flag and
+	// any per-request filters) to a copy of a shared response.
+	present(res any, cached bool) any
+	// fillRecord sets the kind-specific fields of the job's store record.
+	fillRecord(rec *store.JobRecord)
+}
+
+// jobInfo is what the shared lifecycle needs to know about a request.
+type jobInfo struct {
+	seed        int64
+	chips       int
+	constraints string
+	schemes     []string
+	timeout     time.Duration
+	// total is the job's progress total in its kind's unit — chips for a
+	// study, configs for a sweep; resumed is how many of those a resumed
+	// job restores from its checkpoint.
+	total, resumed int
+}
+
+// kindOf returns the job kind of a persisted record; records without a
+// kind are studies.
+func kindOf(record string) *jobKind {
+	if record == sweepKind.record {
+		return sweepKind
+	}
+	return studyKind
 }
 
 // Server is the yieldd request handler plus its job queue and caches.
@@ -177,7 +237,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     int // builds admitted (queued + running)
 	inflight map[string]*call
-	cache    map[string]any // *StudyResponse, or *SweepResponse under "sweep/" keys
+	cache    map[string]any // call.res by canonical key
 	order    []string       // cache keys, oldest first
 	draining bool
 
@@ -301,8 +361,8 @@ func (s *Server) observeChipRate() float64 {
 // GET /healthz, GET /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/study", obs.Instrument("study", http.HandlerFunc(s.handleStudy)))
-	mux.Handle("/v1/sweep", obs.Instrument("sweep", http.HandlerFunc(s.handleSweep)))
+	mux.Handle("/v1/study", obs.Instrument("study", s.submit(studyKind)))
+	mux.Handle("/v1/sweep", obs.Instrument("sweep", s.submit(sweepKind)))
 	mux.Handle("/v1/constraints", obs.Instrument("constraints", http.HandlerFunc(s.handleConstraints)))
 	mux.Handle("/v1/jobs", obs.Instrument("jobs", http.HandlerFunc(s.handleJobs)))
 	mux.Handle("/v1/jobs/{id}", obs.Instrument("job", http.HandlerFunc(s.handleJob)))
@@ -366,27 +426,61 @@ type params struct {
 	// request names none) and applies to streamed estimates either way.
 	targetCI   float64
 	confidence float64
+
+	// resume is the checkpoint a crash-resumed build continues from.
+	resume *yieldcache.BuildCheckpoint
 }
+
+// studyKind serves POST /v1/study.
+var studyKind = &jobKind{name: "study", parse: parseStudy, restore: restoreStudy,
+	total: func(rec store.JobRecord) int { return rec.Chips }}
 
 // schemeOrder is the canonical scheme order; request scheme sets are
 // normalised against it so equivalent requests share a cache key.
 var schemeOrder = []string{"YAPD", "VACA", "Hybrid"}
 
+// presets are the named constraint sets a request may select.
+var presets = []yieldcache.Constraints{yieldcache.Nominal(), yieldcache.Relaxed(), yieldcache.Strict()}
+
+// presetConstraints resolves a named constraint set.
+func presetConstraints(name string) (yieldcache.Constraints, bool) {
+	for _, c := range presets {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return yieldcache.Constraints{}, false
+}
+
+// decodeStrict decodes a request body into v, refusing unknown fields.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return errors.New("decoding request: " + err.Error())
+	}
+	return nil
+}
+
+// parseStudy decodes and validates a POST /v1/study body.
+func parseStudy(s *Server, body []byte) (jobRequest, error) {
+	var req StudyRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
+	}
+	return s.parseRequest(&req)
+}
+
 // parseRequest validates a StudyRequest against the server limits and
 // resolves defaults.
 func (s *Server) parseRequest(req *StudyRequest) (params, error) {
-	p := params{seed: req.Seed, chips: req.Chips}
+	p := params{seed: req.Seed}
 	if p.seed == 0 {
 		p.seed = 2006
 	}
-	if p.chips == 0 {
-		p.chips = 2000
-	}
-	if p.chips < 0 {
-		return p, fmt.Errorf("chips must be positive, got %d", req.Chips)
-	}
-	if p.chips > s.cfg.MaxChips {
-		return p, fmt.Errorf("chips %d exceeds the server limit %d", p.chips, s.cfg.MaxChips)
+	var err error
+	if p.chips, err = s.resolveChips(req.Chips); err != nil {
+		return p, err
 	}
 
 	switch {
@@ -400,41 +494,14 @@ func (s *Server) parseRequest(req *StudyRequest) (params, error) {
 		}
 		p.cons = yieldcache.Constraints{Name: "custom", DelaySigmaK: c.DelaySigmaK, LeakageMult: c.LeakageMult}
 	default:
-		switch req.Constraints {
-		case "", "nominal":
-			p.cons = yieldcache.Nominal()
-		case "relaxed":
-			p.cons = yieldcache.Relaxed()
-		case "strict":
-			p.cons = yieldcache.Strict()
-		default:
+		var ok bool
+		if p.cons, ok = presetConstraints(cmp.Or(req.Constraints, "nominal")); !ok {
 			return p, fmt.Errorf("unknown constraints %q (want nominal, relaxed or strict)", req.Constraints)
 		}
 	}
 
-	if len(req.Schemes) == 0 {
-		p.schemes = schemeOrder
-	} else {
-		want := make(map[string]bool, len(req.Schemes))
-		for _, name := range req.Schemes {
-			ok := false
-			for _, known := range schemeOrder {
-				if name == known {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return p, fmt.Errorf("unknown scheme %q (want a subset of %s)",
-					name, strings.Join(schemeOrder, ", "))
-			}
-			want[name] = true
-		}
-		for _, known := range schemeOrder {
-			if want[known] {
-				p.schemes = append(p.schemes, known)
-			}
-		}
+	if p.schemes, err = normalizeSchemes(req.Schemes); err != nil {
+		return p, err
 	}
 
 	p.confidence = 0.95
@@ -454,17 +521,59 @@ func (s *Server) parseRequest(req *StudyRequest) (params, error) {
 
 	p.scatter = req.IncludeScatter
 	p.saved = req.IncludeSavedConfigs
-	if req.TimeoutMS < 0 {
-		return p, fmt.Errorf("timeout_ms must be positive, got %d", req.TimeoutMS)
+	p.timeout, err = s.resolveTimeout(req.TimeoutMS)
+	return p, err
+}
+
+// resolveChips applies the default population size (2000) and the
+// server's -max-chips limit to a requested size.
+func (s *Server) resolveChips(chips int) (int, error) {
+	switch {
+	case chips == 0:
+		chips = 2000
+	case chips < 0:
+		return chips, fmt.Errorf("chips must be positive, got %d", chips)
 	}
-	p.timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		p.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if chips > s.cfg.MaxChips {
+		return chips, fmt.Errorf("chips %d exceeds the server limit %d", chips, s.cfg.MaxChips)
 	}
-	if p.timeout > s.cfg.MaxTimeout {
-		p.timeout = s.cfg.MaxTimeout
+	return chips, nil
+}
+
+// resolveTimeout applies the server's default and maximum timeouts to a
+// request's timeout_ms.
+func (s *Server) resolveTimeout(ms int) (time.Duration, error) {
+	if ms < 0 {
+		return 0, fmt.Errorf("timeout_ms must be positive, got %d", ms)
 	}
-	return p, nil
+	timeout := s.cfg.DefaultTimeout
+	if ms > 0 {
+		timeout = time.Duration(ms) * time.Millisecond
+	}
+	return min(timeout, s.cfg.MaxTimeout), nil
+}
+
+// normalizeSchemes validates a scheme subset and returns it in
+// canonical order (empty means all).
+func normalizeSchemes(names []string) ([]string, error) {
+	if len(names) == 0 {
+		return schemeOrder, nil
+	}
+	want := make(map[string]bool, len(names))
+	for _, name := range names {
+		if !slices.Contains(schemeOrder, name) {
+			return nil, fmt.Errorf("unknown scheme %q (want a subset of %s)",
+				name, strings.Join(schemeOrder, ", "))
+		}
+		want[name] = true
+	}
+	var out []string
+	for _, known := range schemeOrder {
+		if want[known] {
+			out = append(out, known)
+		}
+	}
+	return out, nil
 }
 
 // key is the canonical cache/singleflight key: every request that must
@@ -483,125 +592,162 @@ func (p params) key() string {
 	return k
 }
 
-func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	// The body is read raw (not streamed into the decoder) because the
-	// idempotency layer hashes the exact bytes the client sent.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
-		return
-	}
-	var req StudyRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	p, err := s.parseRequest(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := p.key()
+func (params) kind() *jobKind { return studyKind }
 
-	idemKey := r.Header.Get("Idempotency-Key")
-	if len(idemKey) > maxIdemKeyLen {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("Idempotency-Key longer than %d bytes", maxIdemKeyLen))
-		return
+func (p params) info() jobInfo {
+	in := jobInfo{seed: p.seed, chips: p.chips, constraints: p.cons.Name,
+		schemes: p.schemes, timeout: p.timeout, total: p.chips}
+	if p.resume != nil {
+		in.resumed = p.resume.Done
 	}
-	var bodyHash string
-	if idemKey != "" {
-		sum := sha256.Sum256(body)
-		bodyHash = hex.EncodeToString(sum[:])
-	}
-
-	s.mu.Lock()
-	if idemKey != "" && s.idemLookupLocked(w, r, idemKey, bodyHash, p) {
-		return
-	}
-	if res, ok := s.cache[key].(*StudyResponse); ok {
-		s.mu.Unlock()
-		obs.C("server_study_cache_hits_total").Inc()
-		jobID := ""
-		if j, ok := s.jobsReg.lookupKey(key); ok {
-			j.cacheHits.Add(1)
-			jobID = j.id
-		}
-		s.bus.Publish(obs.Event{Type: obs.EventCacheHit, Job: jobID, Key: key})
-		s.log.Debug("study served from cache", "job", jobID, "key", key)
-		s.recordIdem(idemKey, bodyHash, key, jobID)
-		writeResult(w, res, p, true, jobID)
-		return
-	}
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		obs.C("server_study_coalesced_total").Inc()
-		c.job.coalesced.Add(1)
-		s.recordIdem(idemKey, bodyHash, key, c.job.id)
-		s.await(w, r, c, p)
-		return
-	}
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if s.jobs >= s.cfg.Workers+s.cfg.QueueDepth {
-		admitted := s.jobs
-		s.mu.Unlock()
-		obs.C("server_study_shed_total").Inc()
-		j := s.jobsReg.createFailed(p, key, obs.ClassShed, "build queue is full")
-		s.bus.Publish(obs.Event{Type: obs.EventShed, Job: j.id, Key: key,
-			Class: string(obs.ClassShed), Queued: admitted})
-		s.log.Warn("study shed: build queue full", "job", j.id, "key", key,
-			"admitted", s.cfg.Workers+s.cfg.QueueDepth)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		w.Header().Set("X-Job-Id", j.id)
-		writeError(w, http.StatusTooManyRequests, "build queue is full")
-		return
-	}
-	c := &call{done: make(chan struct{}), job: s.jobsReg.create(p, key, s.log)}
-	s.inflight[key] = c
-	s.jobs++
-	admitted := s.jobs
-	obs.G("server_jobs_admitted").Set(float64(s.jobs))
-	s.wg.Add(1)
-	s.mu.Unlock()
-	obs.C("server_study_cache_misses_total").Inc()
-	s.bus.Publish(obs.Event{Type: obs.EventJobAdmitted, Job: c.job.id, Key: key,
-		Total: int64(p.chips)})
-	if admitted > s.cfg.Workers {
-		// More admitted builds than worker slots: someone is queueing.
-		s.bus.Publish(obs.Event{Type: obs.EventQueuePressure,
-			Queued: admitted - s.cfg.Workers, Running: s.cfg.Workers})
-	}
-	c.job.scope.Log().Info("job admitted",
-		"seed", p.seed, "chips", p.chips, "constraints", p.cons.Name,
-		"schemes", strings.Join(p.schemes, "+"), "timeout", p.timeout)
-	s.recordIdem(idemKey, bodyHash, key, c.job.id)
-	s.persistJob(c.job, p, jobQueued)
-
-	go s.run(key, p, c)
-	s.await(w, r, c, p)
+	return in
 }
 
-// run executes one admitted build: queue for a worker slot, build the
-// study under the request timeout, publish the result to the cache and
-// wake every waiter. It runs detached from the initiating request so a
-// client disconnect does not waste the work for coalesced waiters. The
-// build context carries the job's telemetry scope, so every phase span
-// and the per-chip progress counter are attributable to this job alone.
-func (s *Server) run(key string, p params, c *call) {
+func (p params) fillRecord(rec *store.JobRecord) {
+	rec.DelaySigmaK, rec.LeakageMult = p.cons.DelaySigmaK, p.cons.LeakageMult
+	rec.TargetCIWidth, rec.Confidence = p.targetCI, p.confidence
+}
+
+// present applies the Cached flag and the include_* filters to a
+// shallow copy, so the cached entry itself stays immutable.
+func (p params) present(res any, cached bool) any {
+	out := *res.(*StudyResponse)
+	out.Cached = cached
+	if !p.scatter {
+		out.Scatter = nil
+	}
+	if !p.saved {
+		out.SavedConfigs = nil
+	}
+	return &out
+}
+
+// metric names one of the kind's server_<kind>_<event>_total counters.
+func (k *jobKind) metric(event string) string {
+	return "server_" + k.name + "_" + event + "_total"
+}
+
+// submit returns the POST handler of one job kind: decode and validate
+// the request, then answer it from an Idempotency-Key record, the
+// result cache or an in-flight job for the same canonical key — or
+// admit a new job, or shed it with 429 when the queue is full.
+func (s *Server) submit(k *jobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		// The body is read raw (not streamed into the decoder) because the
+		// idempotency layer hashes the exact bytes the client sent.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
+			return
+		}
+		req, err := k.parse(s, body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		key := req.key()
+
+		idemKey := r.Header.Get("Idempotency-Key")
+		if len(idemKey) > maxIdemKeyLen {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("Idempotency-Key longer than %d bytes", maxIdemKeyLen))
+			return
+		}
+		var bodyHash string
+		if idemKey != "" {
+			// The kind's salt makes a key reused across endpoints with the
+			// same bytes read as a body conflict, not a cross-kind replay.
+			sum := sha256.Sum256(append([]byte(k.salt), body...))
+			bodyHash = hex.EncodeToString(sum[:])
+		}
+
+		s.mu.Lock()
+		if idemKey != "" && s.idemLookupLocked(w, r, idemKey, bodyHash, req) {
+			return
+		}
+		if res, ok := s.cache[key]; ok {
+			s.mu.Unlock()
+			obs.C(k.metric("cache_hits")).Inc()
+			jobID := ""
+			if j, ok := s.jobsReg.lookupKey(key); ok {
+				j.cacheHits.Add(1)
+				jobID = j.id
+			}
+			s.bus.Publish(obs.Event{Type: obs.EventCacheHit, Job: jobID, Key: key})
+			s.log.Debug(k.name+" served from cache", "job", jobID, "key", key)
+			s.recordIdem(idemKey, bodyHash, key, jobID)
+			writeResult(w, req, res, true, jobID)
+			return
+		}
+		if c, ok := s.inflight[key]; ok {
+			s.mu.Unlock()
+			obs.C(k.metric("coalesced")).Inc()
+			c.job.coalesced.Add(1)
+			s.recordIdem(idemKey, bodyHash, key, c.job.id)
+			s.await(w, r, c, req)
+			return
+		}
+		if s.draining {
+			s.mu.Unlock()
+			writeError(w, http.StatusServiceUnavailable, "server is draining")
+			return
+		}
+		if s.jobs >= s.cfg.Workers+s.cfg.QueueDepth {
+			admitted := s.jobs
+			s.mu.Unlock()
+			obs.C(k.metric("shed")).Inc()
+			j := s.jobsReg.createFailed(req, obs.ClassShed, "build queue is full")
+			s.bus.Publish(obs.Event{Type: obs.EventShed, Job: j.id, Key: key,
+				Class: string(obs.ClassShed), Queued: admitted})
+			s.log.Warn(k.name+" shed: build queue full", "job", j.id, "key", key,
+				"admitted", s.cfg.Workers+s.cfg.QueueDepth)
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+			w.Header().Set("X-Job-Id", j.id)
+			writeError(w, http.StatusTooManyRequests, "build queue is full")
+			return
+		}
+		c := &call{done: make(chan struct{}), job: s.jobsReg.create(req, s.log)}
+		s.inflight[key] = c
+		s.jobs++
+		admitted := s.jobs
+		obs.G("server_jobs_admitted").Set(float64(s.jobs))
+		s.wg.Add(1)
+		s.mu.Unlock()
+		obs.C(k.metric("cache_misses")).Inc()
+		in := req.info()
+		s.bus.Publish(obs.Event{Type: obs.EventJobAdmitted, Job: c.job.id, Key: key,
+			Total: int64(in.total)})
+		if admitted > s.cfg.Workers {
+			// More admitted jobs than worker slots: someone is queueing.
+			s.bus.Publish(obs.Event{Type: obs.EventQueuePressure,
+				Queued: admitted - s.cfg.Workers, Running: s.cfg.Workers})
+		}
+		c.job.scope.Log().Info("job admitted", "kind", k.name,
+			"seed", in.seed, "chips", in.chips, "constraints", in.constraints,
+			"schemes", strings.Join(in.schemes, "+"), "total", in.total, "timeout", in.timeout)
+		s.recordIdem(idemKey, bodyHash, key, c.job.id)
+		s.persistJob(c.job, req, jobQueued)
+
+		go s.run(req, c)
+		s.await(w, r, c, req)
+	}
+}
+
+// run executes one admitted job: queue for a worker slot, compute under
+// the request timeout, publish the result to the cache and wake every
+// waiter. It runs detached from the initiating request so a client
+// disconnect does not waste the work for coalesced waiters. The compute
+// context carries the job's telemetry scope, so every phase span and
+// the progress counter are attributable to this job alone.
+func (s *Server) run(req jobRequest, c *call) {
 	defer s.wg.Done()
-	j := c.job
-	ctx, cancel := context.WithTimeout(s.baseCtx, p.timeout)
+	j, in, key := c.job, req.info(), req.key()
+	ctx, cancel := context.WithTimeout(s.baseCtx, in.timeout)
 	defer cancel()
 	ctx = obs.WithScope(ctx, j.scope)
 
@@ -613,10 +759,10 @@ func (s *Server) run(key string, p params, c *call) {
 		obs.H("server_queue_wait_seconds", obs.ExpBuckets(1e-4, 4, 10)).
 			Observe(wait.Seconds())
 		s.bus.Publish(obs.Event{Type: obs.EventJobStarted, Job: j.id,
-			QueueWaitMS: wait.Seconds() * 1e3, Total: int64(p.chips)})
+			QueueWaitMS: wait.Seconds() * 1e3, Total: int64(in.total)})
 		j.scope.Log().Info("build started", "queue_wait_ms", wait.Seconds()*1e3)
-		s.persistJob(j, p, jobRunning)
-		c.res, c.err = s.compute(ctx, p, c)
+		s.persistJob(j, req, jobRunning)
+		c.res, c.err = req.compute(ctx, s, j)
 		<-s.slots
 	case <-ctx.Done():
 		qsp.End()
@@ -624,7 +770,7 @@ func (s *Server) run(key string, p params, c *call) {
 	}
 
 	s.observePhases(j.scope)
-	s.jobsReg.finish(j, c.err)
+	elapsedMS := s.jobsReg.finish(j, c.err).Seconds() * 1e3
 	done, total := j.scope.Progress()
 	if c.err != nil {
 		s.bus.Publish(obs.Event{Type: obs.EventJobFailed, Job: j.id,
@@ -632,9 +778,8 @@ func (s *Server) run(key string, p params, c *call) {
 		j.scope.Log().Error("job failed", "error", c.err.Error(), "class", j.class)
 	} else {
 		s.bus.Publish(obs.Event{Type: obs.EventJobCompleted, Job: j.id,
-			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: c.res.ElapsedMS})
-		j.scope.Log().Info("job done",
-			"chips_done", done, "chips_total", total, "elapsed_ms", c.res.ElapsedMS)
+			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: elapsedMS})
+		j.scope.Log().Info("job done", "done", done, "total", total, "elapsed_ms", elapsedMS)
 	}
 
 	var evicted, expiredIdem []string
@@ -662,7 +807,7 @@ func (s *Server) run(key string, p params, c *call) {
 	for _, old := range evicted {
 		s.bus.Publish(obs.Event{Type: obs.EventCacheEvict, Key: old})
 	}
-	s.persistOutcome(j, p, c, key, cached, evicted, expiredIdem)
+	s.persistOutcome(j, req, c, cached, evicted, expiredIdem)
 	close(c.done)
 }
 
@@ -671,25 +816,24 @@ func (s *Server) run(key string, p params, c *call) {
 // are cheap next to the build — so a cached entry can serve any
 // combination of include_* flags. With a store attached, the build
 // checkpoints its measured prefix every CheckpointInterval and, on a
-// resumed call, continues from the checkpoint decoded at recovery.
-func (s *Server) compute(ctx context.Context, p params, c *call) (*StudyResponse, error) {
+// resumed request, continues from the checkpoint decoded at recovery.
+func (p params) compute(ctx context.Context, s *Server, j *job) (any, error) {
 	t0 := time.Now()
 	scfg := yieldcache.StudyConfig{Chips: p.chips, Seed: p.seed, Constraints: &p.cons}
-	if s.store != nil && (s.cfg.CheckpointInterval > 0 || c.resume != nil) {
+	if s.store != nil && (s.cfg.CheckpointInterval > 0 || p.resume != nil) {
 		scfg.Checkpoint = &yieldcache.CheckpointConfig{
 			Interval: s.cfg.CheckpointInterval,
-			Sink:     s.checkpointSink(c.job),
-			Resume:   c.resume,
+			Sink:     s.checkpointSink(j),
+			Resume:   p.resume,
 		}
 	}
-	scfg.Estimate = s.estimateConfig(p, c.job)
+	scfg.Estimate = s.estimateConfig(p, j)
 	study, err := s.build(ctx, scfg)
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(t0).Seconds()
-	obs.H("server_build_seconds", obs.ExpBuckets(1e-3, 4, 10)).Observe(elapsed)
-	s.observeBuild(elapsed)
+	s.observeBuild("server_build_seconds", elapsed)
 
 	asp := obs.StartSpanCtx(ctx, "assemble_response")
 	defer asp.End()
@@ -727,7 +871,7 @@ func (s *Server) compute(ctx context.Context, p params, c *call) (*StudyResponse
 		res.Estimate = &ei
 		res.EarlyStop = study.Estimate.EarlyStop
 		if res.EarlyStop {
-			c.job.earlyStop.Store(true)
+			j.earlyStop.Store(true)
 		}
 	}
 	return res, nil
@@ -881,11 +1025,12 @@ func toTotals(rows []yieldcache.ConstraintTotals) []ConstraintTotals {
 	return out
 }
 
-// await blocks the request on the build (leader and coalesced waiters
+// await blocks the request on the job (leader and coalesced waiters
 // alike) or the request's own context, whichever ends first. Every
 // outcome — success or failure — carries the job's id in X-Job-Id, so a
 // 504 can still be chased down at /v1/jobs/{id}.
-func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, p params) {
+func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, req jobRequest) {
+	k := req.kind()
 	select {
 	case <-c.done:
 		if c.err != nil {
@@ -893,19 +1038,19 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, p params
 			class := obs.ClassifyError(c.err)
 			switch class {
 			case obs.ClassTimeout:
-				obs.C("server_study_timeouts_total").Inc()
-				writeErrorClass(w, http.StatusGatewayTimeout, class, "study timed out: "+c.err.Error())
+				obs.C(k.metric("timeouts")).Inc()
+				writeErrorClass(w, http.StatusGatewayTimeout, class, k.name+" timed out: "+c.err.Error())
 			case obs.ClassCanceled:
-				writeErrorClass(w, http.StatusServiceUnavailable, class, "study cancelled: server shutting down")
+				writeErrorClass(w, http.StatusServiceUnavailable, class, k.name+" cancelled: server shutting down")
 			default:
 				writeErrorClass(w, http.StatusInternalServerError, class, c.err.Error())
 			}
 			return
 		}
-		writeResult(w, c.res, p, false, c.job.id)
+		writeResult(w, req, c.res, false, c.job.id)
 	case <-r.Context().Done():
-		// Client gone (or server closing the connection); the build
-		// keeps running for coalesced waiters and the cache.
+		// Client gone (or server closing the connection); the job keeps
+		// running for coalesced waiters and the cache.
 		obs.C("server_requests_abandoned_total").Inc()
 		w.Header().Set("X-Job-Id", c.job.id)
 		writeErrorClass(w, http.StatusGatewayTimeout, obs.ClassCanceled, "request cancelled")
@@ -918,9 +1063,8 @@ func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	sets := []yieldcache.Constraints{yieldcache.Nominal(), yieldcache.Relaxed(), yieldcache.Strict()}
-	out := make([]ConstraintsInfo, 0, len(sets))
-	for _, c := range sets {
+	out := make([]ConstraintsInfo, 0, len(presets))
+	for _, c := range presets {
 		out = append(out, ConstraintsInfo{Name: c.Name, DelaySigmaK: c.DelaySigmaK, LeakageMult: c.LeakageMult})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"constraints": out, "schemes": schemeOrder})
@@ -937,9 +1081,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "jobs": jobs})
 }
 
-// observeBuild folds one build duration into the smoothed estimate
-// behind Retry-After.
-func (s *Server) observeBuild(seconds float64) {
+// observeBuild records one job's compute duration on its kind's
+// histogram and folds it into the smoothed estimate behind Retry-After.
+func (s *Server) observeBuild(histogram string, seconds float64) {
+	obs.H(histogram, obs.ExpBuckets(1e-3, 4, 10)).Observe(seconds)
 	for {
 		old := s.buildEWMA.Load()
 		prev := math.Float64frombits(old)
@@ -967,26 +1112,17 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
-// writeResult sends a shared response with per-request presentation:
-// the Cached flag and the include_* filters apply to a shallow copy, so
-// the cached entry itself stays immutable. jobID, when known, is echoed
-// in the X-Job-Id header so clients can follow the build's live state
-// and trace at /v1/jobs/{id}; cache hits carry the producing job's id
-// as long as it is still within the bounded job history.
-func writeResult(w http.ResponseWriter, res *StudyResponse, p params, cached bool, jobID string) {
+// writeResult sends a shared response with the request's presentation
+// applied by its kind. jobID, when known, is echoed in the X-Job-Id
+// header so clients can follow the job's live state and trace at
+// /v1/jobs/{id}; cache hits carry the producing job's id as long as it
+// is still within the bounded job history.
+func writeResult(w http.ResponseWriter, req jobRequest, res any, cached bool, jobID string) {
 	if jobID != "" {
 		w.Header().Set("X-Job-Id", jobID)
 	}
 	obs.C(`server_requests_total{class="` + string(obs.ClassOK) + `"}`).Inc()
-	out := *res
-	out.Cached = cached
-	if !p.scatter {
-		out.Scatter = nil
-	}
-	if !p.saved {
-		out.SavedConfigs = nil
-	}
-	writeJSON(w, http.StatusOK, &out)
+	writeJSON(w, http.StatusOK, req.present(res, cached))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -111,14 +111,8 @@ func terminalEvent(t obs.EventType) bool {
 // events follow until the job reaches a terminal state, the client
 // disconnects, or the server drains.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
+	j, ok := s.getJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
 		return
 	}
 	if !canStream(w) {

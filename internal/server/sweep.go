@@ -5,20 +5,18 @@ package server
 // server plans it through the facade's delta-reuse planner, evaluates
 // it on one worker slot with per-config progress events and durable
 // per-config checkpoints, reduces the results to Pareto frontiers, and
-// caches the response under a canonical spec hash. docs/SWEEPS.md is
-// the narrative reference; docs/API.md the field reference.
+// caches the response under a canonical spec hash. This file holds
+// only the sweep job kind; admission, coalescing, caching, idempotency,
+// persistence and resume are the lifecycle shared with POST /v1/study.
+// docs/SWEEPS.md is the narrative reference; docs/API.md the field
+// reference.
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -197,22 +195,36 @@ type sweepParams struct {
 	schemes   []string // canonical order, non-empty
 	econ      *sweepEconParams
 	timeout   time.Duration
-	canonical []byte // resolved spec JSON; hashed into key, persisted for resume
-	key       string
+	canonical []byte // resolved spec JSON; hashed into cacheKey, persisted for resume
+	cacheKey  string
+
+	// resume holds the configs a crash-resumed sweep restores from its
+	// checkpoint, by config index.
+	resume map[int]SweepConfigResult
 }
 
-// jobParams renders the sweep's shared knobs as study params so the
-// job registry can echo them; the constraint name "sweep" flags the
-// job kind in listings that predate the kind field.
-func (sp sweepParams) jobParams() params {
-	return params{
-		seed:    sp.plan.Spec.Seed,
-		chips:   sp.plan.Spec.N,
-		cons:    yieldcache.Constraints{Name: "sweep"},
-		schemes: sp.schemes,
-		timeout: sp.timeout,
-	}
+// sweepKind serves POST /v1/sweep. Its Idempotency-Key body hashes are
+// salted with the endpoint, so a key reused across /v1/study and
+// /v1/sweep with the same bytes still reads as a body conflict.
+var sweepKind = &jobKind{name: "sweep", record: "sweep", salt: "sweep\x00",
+	parse: parseSweep, restore: restoreSweep, total: sweepTotal}
+
+func (sweepParams) kind() *jobKind { return sweepKind }
+
+func (sp sweepParams) key() string { return sp.cacheKey }
+
+// info echoes the sweep's shared knobs (seed, per-config population,
+// scheme set); the constraint name "sweep" flags the job kind in
+// listings that predate the kind field. Progress counts configs.
+func (sp sweepParams) info() jobInfo {
+	return jobInfo{seed: sp.plan.Spec.Seed, chips: sp.plan.Spec.N, constraints: "sweep",
+		schemes: sp.schemes, timeout: sp.timeout,
+		total: len(sp.plan.Configs), resumed: len(sp.resume)}
 }
+
+// fillRecord carries the canonical spec so a crashed sweep can be
+// replanned and resumed.
+func (sp sweepParams) fillRecord(rec *store.JobRecord) { rec.Spec = sp.canonical }
 
 // sweepCanonical is the canonical resolved request: the filled spec
 // plus the normalised scheme set. Its JSON bytes are hashed into the
@@ -231,49 +243,45 @@ type sweepCheckpoint struct {
 	Results []SweepConfigResult `json:"results"`
 }
 
+// parseSweep decodes and validates a POST /v1/sweep body.
+func parseSweep(s *Server, body []byte) (jobRequest, error) {
+	var req SweepRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
+	}
+	return s.parseSweepRequest(&req)
+}
+
 // parseSweepRequest validates a SweepRequest against the server limits,
 // resolves defaults, and plans the sweep (planning is pure arithmetic,
 // bounded by MaxSweepConfigs).
 func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 	sp := sweepParams{}
-	spec := yieldcache.SweepSpec{Seed: req.Seed, N: req.Chips}
+	spec := yieldcache.SweepSpec{Seed: req.Seed}
 	if spec.Seed == 0 {
 		spec.Seed = 2006
 	}
-	if spec.N == 0 {
-		spec.N = 2000
-	}
-	if spec.N < 0 {
-		return sp, fmt.Errorf("chips must be positive, got %d", req.Chips)
-	}
-	if spec.N > s.cfg.MaxChips {
-		return sp, fmt.Errorf("chips %d exceeds the server limit %d", spec.N, s.cfg.MaxChips)
+	var err error
+	if spec.N, err = s.resolveChips(req.Chips); err != nil {
+		return sp, err
 	}
 
 	for _, ax := range req.Axes {
 		spec.Axes = append(spec.Axes, yieldcache.TechAxis{Param: ax.Param, Values: ax.Values})
 	}
 	for i, c := range req.Constraints {
-		switch c.Name {
-		case "nominal", "relaxed", "strict":
+		if preset, ok := presetConstraints(c.Name); ok {
 			if c.DelaySigmaK != 0 || c.LeakageMult != 0 {
 				return sp, fmt.Errorf("constraints[%d]: named set %q cannot also carry custom parameters", i, c.Name)
 			}
-			switch c.Name {
-			case "nominal":
-				spec.Constraints = append(spec.Constraints, yieldcache.Nominal())
-			case "relaxed":
-				spec.Constraints = append(spec.Constraints, yieldcache.Relaxed())
-			case "strict":
-				spec.Constraints = append(spec.Constraints, yieldcache.Strict())
-			}
-		default:
-			if c.DelaySigmaK <= 0 || c.LeakageMult <= 0 {
-				return sp, fmt.Errorf("constraints[%d]: want a named set (nominal, relaxed, strict) or positive delay_sigma_k and leakage_mult", i)
-			}
-			spec.Constraints = append(spec.Constraints, yieldcache.Constraints{
-				Name: c.Name, DelaySigmaK: c.DelaySigmaK, LeakageMult: c.LeakageMult})
+			spec.Constraints = append(spec.Constraints, preset)
+			continue
 		}
+		if c.DelaySigmaK <= 0 || c.LeakageMult <= 0 {
+			return sp, fmt.Errorf("constraints[%d]: want a named set (nominal, relaxed, strict) or positive delay_sigma_k and leakage_mult", i)
+		}
+		spec.Constraints = append(spec.Constraints, yieldcache.Constraints{
+			Name: c.Name, DelaySigmaK: c.DelaySigmaK, LeakageMult: c.LeakageMult})
 	}
 	for _, g := range req.Geometries {
 		spec.Geometries = append(spec.Geometries, yieldcache.CacheGeometry{
@@ -281,19 +289,20 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 			BitsPerRow: g.BitsPerRow, PathsPerBank: g.PathsPerBank})
 	}
 
-	schemes, err := normalizeSweepSchemes(req.Schemes)
-	if err != nil {
+	if sp.schemes, err = normalizeSchemes(req.Schemes); err != nil {
 		return sp, err
 	}
-	sp.schemes = schemes
 
+	// The planner materialises every config, so an oversized grid is
+	// refused from its dimensions alone: a few KB of axis values must
+	// not cost seconds of planning before the limit check.
+	if n := spec.ConfigCount(); n > s.cfg.MaxSweepConfigs {
+		return sp, fmt.Errorf("sweep resolves to %d configs, exceeding the server limit %d",
+			n, s.cfg.MaxSweepConfigs)
+	}
 	plan, err := yieldcache.PlanSweep(spec)
 	if err != nil {
 		return sp, err
-	}
-	if len(plan.Configs) > s.cfg.MaxSweepConfigs {
-		return sp, fmt.Errorf("sweep resolves to %d configs, exceeding the server limit %d",
-			len(plan.Configs), s.cfg.MaxSweepConfigs)
 	}
 	sp.plan = plan
 
@@ -331,15 +340,8 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 		sp.econ = &sweepEconParams{model: m, cpiPct: cpi}
 	}
 
-	if req.TimeoutMS < 0 {
-		return sp, fmt.Errorf("timeout_ms must be positive, got %d", req.TimeoutMS)
-	}
-	sp.timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		sp.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if sp.timeout > s.cfg.MaxTimeout {
-		sp.timeout = s.cfg.MaxTimeout
+	if sp.timeout, err = s.resolveTimeout(req.TimeoutMS); err != nil {
+		return sp, err
 	}
 
 	// The canonical bytes hash the *resolved* spec — two requests that
@@ -352,273 +354,21 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 	}
 	sp.canonical = canonical
 	sum := sha256.Sum256(canonical)
-	sp.key = sweepKeyPrefix + hex.EncodeToString(sum[:])
+	sp.cacheKey = sweepKeyPrefix + hex.EncodeToString(sum[:])
 	return sp, nil
 }
 
-// normalizeSweepSchemes validates a scheme subset and returns it in
-// canonical order (empty means all).
-func normalizeSweepSchemes(names []string) ([]string, error) {
-	if len(names) == 0 {
-		return schemeOrder, nil
-	}
-	want := make(map[string]bool, len(names))
-	for _, name := range names {
-		ok := false
-		for _, known := range schemeOrder {
-			if name == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("unknown scheme %q (want a subset of %s)",
-				name, strings.Join(schemeOrder, ", "))
-		}
-		want[name] = true
-	}
-	var out []string
-	for _, known := range schemeOrder {
-		if want[known] {
-			out = append(out, known)
-		}
-	}
-	return out, nil
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
-		return
-	}
-	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	sp, err := s.parseSweepRequest(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := sp.key
-
-	idemKey := r.Header.Get("Idempotency-Key")
-	if len(idemKey) > maxIdemKeyLen {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("Idempotency-Key longer than %d bytes", maxIdemKeyLen))
-		return
-	}
-	var bodyHash string
-	if idemKey != "" {
-		// Salted with the endpoint so a key reused across /v1/study and
-		// /v1/sweep with the same bytes still reads as a body conflict.
-		sum := sha256.Sum256(append([]byte("sweep\x00"), body...))
-		bodyHash = hex.EncodeToString(sum[:])
-	}
-
-	s.mu.Lock()
-	if idemKey != "" && s.sweepIdemLookupLocked(w, r, idemKey, bodyHash, sp) {
-		return
-	}
-	if res, ok := s.cache[key].(*SweepResponse); ok {
-		s.mu.Unlock()
-		obs.C("server_sweep_cache_hits_total").Inc()
-		jobID := ""
-		if j, ok := s.jobsReg.lookupKey(key); ok {
-			j.cacheHits.Add(1)
-			jobID = j.id
-		}
-		s.bus.Publish(obs.Event{Type: obs.EventCacheHit, Job: jobID, Key: key})
-		s.log.Debug("sweep served from cache", "job", jobID, "key", key)
-		s.recordIdem(idemKey, bodyHash, key, jobID)
-		writeSweepResult(w, res, sp.econ, true, jobID)
-		return
-	}
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		obs.C("server_sweep_coalesced_total").Inc()
-		c.job.coalesced.Add(1)
-		s.recordIdem(idemKey, bodyHash, key, c.job.id)
-		s.awaitSweep(w, r, c, sp)
-		return
-	}
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if s.jobs >= s.cfg.Workers+s.cfg.QueueDepth {
-		admitted := s.jobs
-		s.mu.Unlock()
-		obs.C("server_sweep_shed_total").Inc()
-		j := s.jobsReg.createFailed(sp.jobParams(), key, obs.ClassShed, "build queue is full")
-		s.bus.Publish(obs.Event{Type: obs.EventShed, Job: j.id, Key: key,
-			Class: string(obs.ClassShed), Queued: admitted})
-		s.log.Warn("sweep shed: build queue full", "job", j.id, "key", key)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		w.Header().Set("X-Job-Id", j.id)
-		writeError(w, http.StatusTooManyRequests, "build queue is full")
-		return
-	}
-	c := &call{done: make(chan struct{}), job: s.jobsReg.createSweep(sp.jobParams(), key, sp.canonical, s.log)}
-	s.inflight[key] = c
-	s.jobs++
-	admitted := s.jobs
-	obs.G("server_jobs_admitted").Set(float64(s.jobs))
-	s.wg.Add(1)
-	s.mu.Unlock()
-	obs.C("server_sweep_cache_misses_total").Inc()
-	configs := len(sp.plan.Configs)
-	s.bus.Publish(obs.Event{Type: obs.EventJobAdmitted, Job: c.job.id, Key: key,
-		Total: int64(configs)})
-	if admitted > s.cfg.Workers {
-		s.bus.Publish(obs.Event{Type: obs.EventQueuePressure,
-			Queued: admitted - s.cfg.Workers, Running: s.cfg.Workers})
-	}
-	st := sp.plan.Stats()
-	c.job.scope.Log().Info("sweep admitted",
-		"seed", sp.plan.Spec.Seed, "chips", sp.plan.Spec.N, "configs", configs,
-		"full_builds", st.FullBuilds, "delta_builds", st.DeltaBuilds,
-		"schemes", strings.Join(sp.schemes, "+"), "timeout", sp.timeout)
-	s.recordIdem(idemKey, bodyHash, key, c.job.id)
-	s.persistSweepJob(c.job, sp, jobQueued)
-
-	go s.runSweep(key, sp, c)
-	s.awaitSweep(w, r, c, sp)
-}
-
-// sweepIdemLookupLocked is idemLookupLocked's sweep twin: resolve a
-// recorded Idempotency-Key while s.mu is held, replaying the cached
-// sweep or coalescing onto the in-flight one. Returns true when the
-// request was fully answered (lock released).
-func (s *Server) sweepIdemLookupLocked(w http.ResponseWriter, r *http.Request, idemKey, bodyHash string, sp sweepParams) bool {
-	rec, ok := s.idem[idemKey]
-	if !ok {
-		return false
-	}
-	if rec.BodyHash != bodyHash {
-		s.mu.Unlock()
-		obs.C("server_idempotency_conflicts_total").Inc()
-		s.log.Warn("idempotency key reused with different body", "job", rec.JobID)
-		writeErrorClass(w, http.StatusConflict, obs.ClassValidation,
-			"Idempotency-Key was already used with a different request body")
-		return true
-	}
-	if res, hit := s.cache[rec.StudyKey].(*SweepResponse); hit {
-		s.mu.Unlock()
-		obs.C("server_idempotent_replays_total").Inc()
-		if j, found := s.jobsReg.lookupKey(rec.StudyKey); found {
-			j.cacheHits.Add(1)
-		}
-		w.Header().Set("Idempotency-Replayed", "true")
-		s.log.Debug("sweep replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
-		writeSweepResult(w, res, sp.econ, true, rec.JobID)
-		return true
-	}
-	if c, flying := s.inflight[rec.StudyKey]; flying {
-		s.mu.Unlock()
-		obs.C("server_sweep_coalesced_total").Inc()
-		c.job.coalesced.Add(1)
-		s.awaitSweep(w, r, c, sp)
-		return true
-	}
-	delete(s.idem, idemKey)
-	go s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(idemKey) })
-	return false
-}
-
-// runSweep executes one admitted sweep on a single worker slot,
-// mirroring run: queue, evaluate under the request timeout, publish to
-// the cache and wake every waiter. The sweep's internal cluster
-// parallelism never exceeds the configured worker count, so a sweep
-// cannot oversubscribe the pool it occupies one slot of.
-func (s *Server) runSweep(key string, sp sweepParams, c *call) {
-	defer s.wg.Done()
-	j := c.job
-	ctx, cancel := context.WithTimeout(s.baseCtx, sp.timeout)
-	defer cancel()
-	ctx = obs.WithScope(ctx, j.scope)
-
-	qsp := j.scope.StartSpan("queue_wait")
-	select {
-	case s.slots <- struct{}{}:
-		qsp.End()
-		wait := s.jobsReg.markRunning(j)
-		obs.H("server_queue_wait_seconds", obs.ExpBuckets(1e-4, 4, 10)).
-			Observe(wait.Seconds())
-		s.bus.Publish(obs.Event{Type: obs.EventJobStarted, Job: j.id,
-			QueueWaitMS: wait.Seconds() * 1e3, Total: int64(len(sp.plan.Configs))})
-		j.scope.Log().Info("sweep started", "queue_wait_ms", wait.Seconds()*1e3)
-		s.persistSweepJob(j, sp, jobRunning)
-		c.sweep, c.err = s.computeSweep(ctx, sp, c)
-		<-s.slots
-	case <-ctx.Done():
-		qsp.End()
-		c.err = fmt.Errorf("waiting for a worker: %w", ctx.Err())
-	}
-
-	s.observePhases(j.scope)
-	s.jobsReg.finish(j, c.err)
-	done, total := j.scope.Progress()
-	if c.err != nil {
-		s.bus.Publish(obs.Event{Type: obs.EventJobFailed, Job: j.id,
-			Class: string(j.class), Error: c.err.Error(), Done: done, Total: total})
-		j.scope.Log().Error("sweep failed", "error", c.err.Error(), "class", j.class)
-	} else {
-		s.bus.Publish(obs.Event{Type: obs.EventJobCompleted, Job: j.id,
-			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: c.sweep.ElapsedMS})
-		j.scope.Log().Info("sweep done",
-			"configs", total, "elapsed_ms", c.sweep.ElapsedMS)
-	}
-
-	var evicted, expiredIdem []string
-	cached := false
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if c.err == nil && s.cfg.CacheEntries > 0 {
-		if _, dup := s.cache[key]; !dup {
-			for len(s.cache) >= s.cfg.CacheEntries {
-				oldest := s.order[0]
-				s.order = s.order[1:]
-				delete(s.cache, oldest)
-				evicted = append(evicted, oldest)
-				expiredIdem = append(expiredIdem, s.expireIdemLocked(oldest)...)
-				obs.C("server_study_cache_evictions_total").Inc()
-			}
-			s.cache[key] = c.sweep
-			s.order = append(s.order, key)
-			cached = true
-		}
-	}
-	s.jobs--
-	obs.G("server_jobs_admitted").Set(float64(s.jobs))
-	s.mu.Unlock()
-	for _, old := range evicted {
-		s.bus.Publish(obs.Event{Type: obs.EventCacheEvict, Key: old})
-	}
-	s.persistSweepOutcome(j, sp, c, key, cached, evicted, expiredIdem)
-	close(c.done)
-}
-
-// computeSweep runs the planned sweep with per-config events and
+// compute runs the planned sweep with per-config events and
 // durable config-granular checkpoints, overlays any resumed results,
 // and reduces the merged set to Pareto frontiers. Frontiers are always
 // computed from the wire-typed results (which round-trip exactly
 // through JSON), so a crash-resumed sweep reduces to bit-identical
-// frontiers.
-func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*SweepResponse, error) {
+// frontiers. The sweep's internal cluster parallelism never exceeds the
+// configured worker count, so a sweep cannot oversubscribe the pool it
+// occupies one slot of.
+func (sp sweepParams) compute(ctx context.Context, s *Server, j *job) (any, error) {
 	t0 := time.Now()
 	plan := sp.plan
-	j := c.job
 	results := make([]SweepConfigResult, len(plan.Configs))
 
 	var (
@@ -627,7 +377,7 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 		lastCkpt  time.Time
 	)
 	ckptEnabled := s.store != nil && s.cfg.CheckpointInterval > 0
-	for _, r := range c.sweepResume {
+	for _, r := range sp.resume {
 		completed = append(completed, r)
 	}
 
@@ -660,9 +410,9 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 				Done: int64(done), Total: int64(total)})
 		},
 	}
-	if len(c.sweepResume) > 0 {
+	if len(sp.resume) > 0 {
 		opt.Skip = func(i int) bool {
-			_, ok := c.sweepResume[i]
+			_, ok := sp.resume[i]
 			return ok
 		}
 	}
@@ -674,7 +424,7 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 	resumed := 0
 	for i := range evals {
 		if evals[i].Skipped {
-			results[i] = c.sweepResume[i]
+			results[i] = sp.resume[i]
 			resumed++
 		}
 	}
@@ -686,8 +436,7 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 	}
 
 	elapsed := time.Since(t0).Seconds()
-	obs.H("server_sweep_seconds", obs.ExpBuckets(1e-3, 4, 10)).Observe(elapsed)
-	s.observeBuild(elapsed)
+	s.observeBuild("server_sweep_seconds", elapsed)
 
 	return &SweepResponse{
 		Seed:           plan.Spec.Seed,
@@ -762,54 +511,22 @@ func sweepWireFrontiers(results []SweepConfigResult, schemes []string) map[strin
 	return out
 }
 
-// awaitSweep blocks the request on the sweep or the request's own
-// context, mirroring await.
-func (s *Server) awaitSweep(w http.ResponseWriter, r *http.Request, c *call, sp sweepParams) {
-	select {
-	case <-c.done:
-		if c.err != nil {
-			w.Header().Set("X-Job-Id", c.job.id)
-			class := obs.ClassifyError(c.err)
-			switch class {
-			case obs.ClassTimeout:
-				obs.C("server_sweep_timeouts_total").Inc()
-				writeErrorClass(w, http.StatusGatewayTimeout, class, "sweep timed out: "+c.err.Error())
-			case obs.ClassCanceled:
-				writeErrorClass(w, http.StatusServiceUnavailable, class, "sweep cancelled: server shutting down")
-			default:
-				writeErrorClass(w, http.StatusInternalServerError, class, c.err.Error())
-			}
-			return
-		}
-		writeSweepResult(w, c.sweep, sp.econ, false, c.job.id)
-	case <-r.Context().Done():
-		obs.C("server_requests_abandoned_total").Inc()
-		w.Header().Set("X-Job-Id", c.job.id)
-		writeErrorClass(w, http.StatusGatewayTimeout, obs.ClassCanceled, "request cancelled")
-	}
-}
-
-// writeSweepResult sends a shared sweep response with per-request
-// presentation: the Cached flag and — when the request carried an
-// economics spec — per-config pricing, both applied to copies so the
-// cached entry stays immutable. Economics is presentation because it is
-// pure arithmetic over the cached yields; it never reruns the sweep.
-func writeSweepResult(w http.ResponseWriter, res *SweepResponse, econ *sweepEconParams, cached bool, jobID string) {
-	if jobID != "" {
-		w.Header().Set("X-Job-Id", jobID)
-	}
-	obs.C(`server_requests_total{class="` + string(obs.ClassOK) + `"}`).Inc()
-	out := *res
+// present applies the Cached flag and — when the request carried an
+// economics spec — per-config pricing to copies, so the cached entry
+// stays immutable. Economics is presentation because it is pure
+// arithmetic over the cached yields; it never reruns the sweep.
+func (sp sweepParams) present(res any, cached bool) any {
+	out := *res.(*SweepResponse)
 	out.Cached = cached
-	if econ != nil {
-		rows := make([]SweepConfigResult, len(res.Results))
-		copy(rows, res.Results)
+	if sp.econ != nil {
+		rows := make([]SweepConfigResult, len(out.Results))
+		copy(rows, out.Results)
 		for i := range rows {
-			rows[i].Economics = sweepEconomicsRow(rows[i], econ)
+			rows[i].Economics = sweepEconomicsRow(rows[i], sp.econ)
 		}
 		out.Results = rows
 	}
-	writeJSON(w, http.StatusOK, &out)
+	return &out
 }
 
 // sweepEconomicsRow prices one config: base at full price, then each
@@ -836,135 +553,50 @@ func sweepEconomicsRow(r SweepConfigResult, econ *sweepEconParams) []SweepEconom
 	return out
 }
 
-// persistSweepJob appends the sweep job's lifecycle state to the store,
-// carrying the canonical spec so a crashed sweep can be replanned and
-// resumed.
-func (s *Server) persistSweepJob(j *job, sp sweepParams, state string) {
-	if s.store == nil {
-		return
-	}
-	rec := store.JobRecord{
-		ID: j.id, Seq: j.seq, Key: j.key, State: state,
-		Seed: sp.plan.Spec.Seed, Chips: sp.plan.Spec.N,
-		ConsName: "sweep",
-		Schemes:  sp.schemes, TimeoutMS: sp.timeout.Milliseconds(),
-		Kind: jobKindSweep, Spec: j.spec,
-		Restarts:      j.restarts,
-		QueueWaitMS:   j.priorWaitMS,
-		CreatedUnixMS: j.created.UnixMilli(),
-	}
-	if state != jobQueued && !j.started.IsZero() {
-		rec.QueueWaitMS = j.priorWaitMS + j.started.Sub(j.admitted).Seconds()*1e3
-	}
-	if state == jobDone || state == jobFailed {
-		rec.Class = string(j.class)
-		rec.Error = j.errMsg
-	}
-	s.storeDo("put_job", func() error { return s.store.PutJob(rec) })
-}
-
-// persistSweepOutcome records a sweep's terminal state, mirroring
-// persistOutcome.
-func (s *Server) persistSweepOutcome(j *job, sp sweepParams, c *call, key string, cached bool, evicted, expiredIdem []string) {
-	if s.store == nil {
-		return
-	}
-	state := jobDone
-	if c.err != nil {
-		state = jobFailed
-	}
-	s.persistSweepJob(j, sp, state)
-	if cached {
-		if body, err := json.Marshal(c.sweep); err == nil {
-			s.storeDo("put_result", func() error { return s.store.PutResult(key, body) })
-		}
-	}
-	for _, old := range evicted {
-		old := old
-		s.storeDo("delete_result", func() error { return s.store.DeleteResult(old) })
-	}
-	for _, ik := range expiredIdem {
-		ik := ik
-		s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(ik) })
-	}
-	if s.cfg.CheckpointInterval > 0 || len(c.sweepResume) > 0 {
-		s.storeDo("delete_checkpoint", func() error { return s.store.DeleteCheckpoint(j.id) })
-	}
-}
-
-// sweepParamsFromRecord replans a persisted sweep from its canonical
-// spec bytes, so a resumed sweep evaluates exactly the grid the crashed
-// server admitted.
-func (s *Server) sweepParamsFromRecord(rec store.JobRecord) (sweepParams, error) {
+// sweepTotal is a persisted sweep's config count, read from its
+// canonical spec without planning; 0 when the spec is unreadable.
+func sweepTotal(rec store.JobRecord) int {
 	var can sweepCanonical
 	if err := json.Unmarshal(rec.Spec, &can); err != nil {
-		return sweepParams{}, fmt.Errorf("decoding canonical sweep spec: %w", err)
+		return 0
+	}
+	return can.Spec.ConfigCount()
+}
+
+// restoreSweep replans a persisted sweep from its canonical spec bytes,
+// so a resumed sweep evaluates exactly the grid the crashed server
+// admitted, and overlays the configs its checkpoint already holds.
+func restoreSweep(s *Server, rec store.JobRecord, ckpt []byte) (jobRequest, error) {
+	var can sweepCanonical
+	if err := json.Unmarshal(rec.Spec, &can); err != nil {
+		return nil, fmt.Errorf("decoding canonical sweep spec: %w", err)
 	}
 	plan, err := yieldcache.PlanSweep(can.Spec)
 	if err != nil {
-		return sweepParams{}, fmt.Errorf("replanning sweep: %w", err)
+		return nil, fmt.Errorf("replanning sweep: %w", err)
 	}
 	sp := sweepParams{
 		plan:      plan,
 		schemes:   can.Schemes,
-		timeout:   time.Duration(rec.TimeoutMS) * time.Millisecond,
+		timeout:   s.recordTimeout(rec),
 		canonical: rec.Spec,
-		key:       rec.Key,
+		cacheKey:  rec.Key,
 	}
 	if len(sp.schemes) == 0 {
 		sp.schemes = schemeOrder
 	}
-	if sp.timeout <= 0 {
-		sp.timeout = s.cfg.DefaultTimeout
-	}
-	return sp, nil
-}
-
-// resumeSweepJob re-admits one interrupted sweep under its original id,
-// loading its config-granular checkpoint so already-evaluated configs
-// are overlaid rather than rebuilt. An unreadable spec fails the job
-// terminally (there is nothing to re-run); an unreadable checkpoint
-// just falls back to a full re-evaluation.
-func (s *Server) resumeSweepJob(jr store.JobRecord) {
-	sp, err := s.sweepParamsFromRecord(jr)
-	if err != nil {
-		s.log.Warn("sweep spec unreadable; job failed", "job", jr.ID, "error", err)
-		jr.State = jobFailed
-		jr.Class = string(obs.ClassInternal)
-		jr.Error = "sweep spec unreadable after restart: " + err.Error()
-		s.jobsReg.restoreFinished(jr, s.log)
-		s.storeDo("put_job", func() error { return s.store.PutJob(jr) })
-		return
-	}
-	resume := make(map[int]SweepConfigResult)
-	if data, _, err := s.store.Checkpoint(jr.ID); err == nil {
+	if ckpt != nil {
 		var ck sweepCheckpoint
-		if derr := json.Unmarshal(data, &ck); derr != nil {
-			s.log.Warn("sweep checkpoint unreadable; resuming from scratch", "job", jr.ID, "error", derr)
-		} else {
-			for _, r := range ck.Results {
-				if r.Index >= 0 && r.Index < len(sp.plan.Configs) {
-					resume[r.Index] = r
-				}
+		if err := json.Unmarshal(ckpt, &ck); err != nil {
+			s.log.Warn("sweep checkpoint unreadable; resuming from scratch", "job", rec.ID, "error", err)
+			return sp, nil
+		}
+		sp.resume = make(map[int]SweepConfigResult, len(ck.Results))
+		for _, r := range ck.Results {
+			if r.Index >= 0 && r.Index < len(plan.Configs) {
+				sp.resume[r.Index] = r
 			}
 		}
 	}
-
-	j := s.jobsReg.restoreResumed(jr, s.log)
-	c := &call{done: make(chan struct{}), job: j, sweepResume: resume}
-	s.mu.Lock()
-	s.inflight[jr.Key] = c
-	s.jobs++
-	admitted := s.jobs
-	s.mu.Unlock()
-	obs.G("server_jobs_admitted").Set(float64(admitted))
-	obs.C("server_jobs_resumed_total").Inc()
-	s.wg.Add(1)
-	s.bus.Publish(obs.Event{Type: obs.EventJobResumed, Job: j.id, Key: jr.Key,
-		Done: int64(len(resume)), Total: int64(len(sp.plan.Configs)), Restarts: j.restarts})
-	j.scope.Log().Info("sweep resumed from store",
-		"restarts", j.restarts, "checkpoint_configs", len(resume),
-		"configs", len(sp.plan.Configs))
-	s.persistSweepJob(j, sp, jobQueued)
-	go s.runSweep(jr.Key, sp, c)
+	return sp, nil
 }

@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
 # Bench smoke tolerance gate: runs the pair-build benchmark and fails
 # if its chips/s throughput drops more than $BENCH_GATE_TOLERANCE
-# percent (default 10) below the figure recorded in the most recently
-# modified committed BENCH_*.json. This catches data-layout or hot-loop
-# regressions that the correctness suite cannot see, while a generous
-# tolerance absorbs ordinary runner noise.
+# percent (default 10) below the figure recorded in the committed
+# BENCH_pr<N>.json snapshot with the highest PR number N (a numeric
+# version sort, so pr10 follows pr9; file mtimes are meaningless in a
+# fresh checkout). BENCH_GATE_BASELINE names another snapshot instead.
+# This catches data-layout or hot-loop regressions that the correctness
+# suite cannot see, while a generous tolerance absorbs ordinary runner
+# noise.
 #
 # Usage: [BENCH_GATE_TOLERANCE=pct] [BENCH_GATE_BASELINE=FILE.json] \
 #   scripts/bench_gate.sh [benchtime]
@@ -16,10 +19,10 @@ BENCHTIME="${1:-3x}"
 TOL="${BENCH_GATE_TOLERANCE:-10}"
 BASE="${BENCH_GATE_BASELINE:-}"
 if [ -z "$BASE" ]; then
-    BASE=$(ls -t BENCH_*.json 2>/dev/null | head -n 1 || true)
+    BASE=$(ls BENCH_pr*.json 2>/dev/null | sort -V | tail -n 1 || true)
 fi
 if [ -z "$BASE" ] || [ ! -f "$BASE" ]; then
-    echo "bench_gate: no committed BENCH_*.json baseline; skipping gate"
+    echo "bench_gate: no committed BENCH_pr*.json baseline; skipping gate"
     exit 0
 fi
 
