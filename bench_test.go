@@ -416,6 +416,25 @@ func BenchmarkCPUSim(b *testing.B) {
 		cpu.Run(workload.NewGenerator(p, 1), 100_000, cfg)
 	}
 	b.ReportMetric(100_000, "instructions/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/100_000, "ns/instr")
+}
+
+// BenchmarkCPUSimBatch measures the config-batched cycle model on the
+// same benchmark: one trace, the paper's CPI configurations stepped in
+// lockstep. Its ns/instr is per configuration, so it compares directly
+// with BenchmarkCPUSim's.
+func BenchmarkCPUSimBatch(b *testing.B) {
+	p, _ := workload.ByName("gzip")
+	var cfgs []cpu.Config
+	for _, c := range paperL1DConfigs {
+		cfgs = append(cfgs, cpu.DefaultConfig().WithL1D(c.ways, c.hRegion, c.predicted))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cpu.RunBatch(workload.NewGenerator(p, 1), 100_000, cfgs)
+	}
+	b.ReportMetric(float64(len(cfgs)), "configs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/100_000/float64(len(cfgs)), "ns/instr")
 }
 
 // BenchmarkCPUSimDetailed measures the event-driven core's throughput

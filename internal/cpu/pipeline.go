@@ -56,8 +56,12 @@ type machine struct {
 	// whose slots are busy for the stall duration.
 	bypass []int64
 
-	// store-to-load forwarding: word address -> instruction index
-	storeIdx map[uint64]int
+	// store-to-load forwarding: word address -> index of the youngest
+	// store to it. storeWord rings each store's word so the entry can be
+	// dropped once the store is forwardExpiry instructions old (0: never).
+	storeIdx      map[uint64]int
+	storeWord     [ringSize]uint64
+	forwardExpiry int
 
 	fetchNotBefore int64
 	lastFetchBlock uint64
@@ -116,6 +120,11 @@ func newMachine(cfg Config) *machine {
 	}
 	m.bypass = make([]int64, n)
 	m.hier.NextLinePrefetch = cfg.NextLinePrefetch
+	// A store can be dropped from storeIdx once it is past the window,
+	// provided the ring still holds it then.
+	if w := cfg.StoreForwardWindow; w >= 0 && w+1 < ringSize {
+		m.forwardExpiry = w + 1
+	}
 	return m
 }
 
@@ -165,187 +174,237 @@ func producer(i, dist int) int {
 	return j % ringSize
 }
 
+// chunkSize is how many instructions RunBatch generates at a time
+// before stepping every machine across them: large enough to amortise
+// the switch between machines, small enough that the chunk stays in
+// cache while each machine's state is hot.
+const chunkSize = 1024
+
 // Run simulates n instructions from the generator on the configured
 // machine and returns the aggregate result.
 func Run(gen *workload.Generator, n int, cfg Config) Result {
-	m := newMachine(cfg)
+	return RunBatch(gen, n, []Config{cfg})[0]
+}
+
+// RunBatch simulates the same n instructions from the generator on
+// every configuration, generating the trace once: each chunk of the
+// trace is stepped through one machine after another. Result k is
+// identical to Run on a fresh generator with cfgs[k].
+func RunBatch(gen *workload.Generator, n int, cfgs []Config) []Result {
+	ms := make([]*machine, len(cfgs))
+	for k, cfg := range cfgs {
+		ms[k] = newMachine(cfg)
+	}
+	chunk := make([]workload.Instr, min(n, chunkSize))
+	for base := 0; base < n; base += len(chunk) {
+		chunk = chunk[:min(len(chunk), n-base)]
+		for j := range chunk {
+			chunk[j] = gen.Next()
+		}
+		for _, m := range ms {
+			for j := range chunk {
+				m.step(base+j, &chunk[j])
+			}
+		}
+	}
+	out := make([]Result, len(ms))
+	for k, m := range ms {
+		out[k] = m.finish(n)
+	}
+	obs.C("cpu_trace_passes_total").Inc()
+	return out
+}
+
+// step simulates instruction i of the trace.
+func (m *machine) step(i int, in *workload.Instr) {
+	cfg := &m.cfg
 	S := int64(cfg.SchedToExec)
 	P := int64(cfg.PredictedLoadCycles)
+	r := i % ringSize
 
-	for i := 0; i < n; i++ {
-		in := gen.Next()
-		r := i % ringSize
-		m.opRing[r] = in.Op
-
-		// ---- Fetch ----
-		block := in.PC &^ uint64(cfg.L1I.BlockBytes-1)
-		t := m.fetchSlot.next(m.fetchNotBefore)
-		if block != m.lastFetchBlock {
-			m.lastFetchBlock = block
-			lat, hit, _ := m.hier.L1I.Access(in.PC, false)
-			_ = lat
-			if !hit {
-				m.res.L1IMisses++
-				extra := m.hier.missPath(in.PC, false, t)
-				m.fetchNotBefore = t + extra
-				t = m.fetchSlot.next(m.fetchNotBefore)
+	// A store that has fallen out of the forwarding window can never
+	// forward again; drop its map entry unless a younger store to the
+	// same word has replaced it.
+	if e := i - m.forwardExpiry; m.forwardExpiry > 0 && e >= 0 {
+		if re := e % ringSize; m.opRing[re] == workload.Store {
+			if word := m.storeWord[re]; m.storeIdx[word] == e {
+				delete(m.storeIdx, word)
 			}
 		}
-		m.fetchT[r] = t
+	}
+	m.opRing[r] = in.Op
 
-		// ---- Rename/dispatch: width-limited, gated by ROB and IQ space ----
-		ren := t + int64(cfg.FrontStages)
-		if i >= cfg.ROB {
-			if prev := m.commitT[(i-cfg.ROB)%ringSize] + 1; prev > ren {
-				ren = prev
-			}
+	// ---- Fetch ----
+	block := in.PC &^ uint64(cfg.L1I.BlockBytes-1)
+	t := m.fetchSlot.next(m.fetchNotBefore)
+	if block != m.lastFetchBlock {
+		m.lastFetchBlock = block
+		if _, hit, _ := m.hier.L1I.Access(in.PC, false); !hit {
+			m.res.L1IMisses++
+			extra := m.hier.missPath(in.PC, false, t)
+			m.fetchNotBefore = t + extra
+			t = m.fetchSlot.next(m.fetchNotBefore)
 		}
-		if i >= cfg.IQ {
-			if prev := m.issueT[(i-cfg.IQ)%ringSize] + 1; prev > ren {
-				ren = prev
-			}
-		}
-		ren = m.renameSlot.next(ren)
+	}
+	m.fetchT[r] = t
 
-		// ---- Schedule (issue) ----
-		// Wakeup constraints from producers; loads wake dependents with
-		// the predicted latency, everything else exactly.
-		issue := ren + 1
-		var slowLoads [2]int // ring indices of slower-than-predicted load producers
-		nSlow := 0
-		for _, dist := range [2]int{in.Src1Dist, in.Src2Dist} {
-			j := producer(i, dist)
-			if j < 0 {
-				continue
-			}
-			var c int64
-			if m.opRing[j] == workload.Load {
-				pred := m.execT[j] + P
-				if m.completeT[j] > pred {
-					if nSlow < 2 {
-						slowLoads[nSlow] = j
-						nSlow++
-					}
-					c = pred // speculative wakeup
-				} else {
-					c = m.completeT[j]
+	// ---- Rename/dispatch: width-limited, gated by ROB and IQ space ----
+	ren := t + int64(cfg.FrontStages)
+	if i >= cfg.ROB {
+		if prev := m.commitT[(i-cfg.ROB)%ringSize] + 1; prev > ren {
+			ren = prev
+		}
+	}
+	if i >= cfg.IQ {
+		if prev := m.issueT[(i-cfg.IQ)%ringSize] + 1; prev > ren {
+			ren = prev
+		}
+	}
+	ren = m.renameSlot.next(ren)
+
+	// ---- Schedule (issue) ----
+	// Wakeup constraints from producers; loads wake dependents with
+	// the predicted latency, everything else exactly.
+	issue := ren + 1
+	var slowLoads [2]int // ring indices of slower-than-predicted load producers
+	nSlow := 0
+	for _, dist := range [2]int{in.Src1Dist, in.Src2Dist} {
+		j := producer(i, dist)
+		if j < 0 {
+			continue
+		}
+		var c int64
+		if m.opRing[j] == workload.Load {
+			pred := m.execT[j] + P
+			if m.completeT[j] > pred {
+				if nSlow < 2 {
+					slowLoads[nSlow] = j
+					nSlow++
 				}
+				c = pred // speculative wakeup
 			} else {
 				c = m.completeT[j]
 			}
-			if w := c - S; w > issue {
+		} else {
+			c = m.completeT[j]
+		}
+		if w := c - S; w > issue {
+			issue = w
+		}
+	}
+	// If by its tentative issue time the scheduler has already seen a
+	// producer's miss (tag check at predicted-complete time), it holds
+	// the dependent in the IQ instead of issuing it speculatively.
+	for k := 0; k < nSlow; k++ {
+		j := slowLoads[k]
+		missDetect := m.execT[j] + P
+		if issue >= missDetect {
+			if w := m.completeT[j] - S; w > issue {
 				issue = w
 			}
+			slowLoads[k] = -1
 		}
-		// If by its tentative issue time the scheduler has already seen a
-		// producer's miss (tag check at predicted-complete time), it holds
-		// the dependent in the IQ instead of issuing it speculatively.
-		for k := 0; k < nSlow; k++ {
-			j := slowLoads[k]
-			missDetect := m.execT[j] + P
-			if issue >= missDetect {
-				if w := m.completeT[j] - S; w > issue {
-					issue = w
-				}
-				slowLoads[k] = -1
-			}
-		}
-		issue = m.issueSlot.next(issue)
-		m.issueT[r] = issue
+	}
+	issue = m.issueSlot.next(issue)
+	m.issueT[r] = issue
 
-		// ---- Execute ----
-		exec := issue + S
-		// Actual operand availability: a dependent that reaches the FU
-		// before its data stalls in the load-bypass buffer (one extra
-		// cycle per entry); if the producer load actually missed, the
-		// dependent is flushed and replayed (Section 4.3).
-		actual := exec
-		for _, dist := range [2]int{in.Src1Dist, in.Src2Dist} {
-			j := producer(i, dist)
-			if j >= 0 && m.completeT[j] > actual {
-				actual = m.completeT[j]
-			}
+	// ---- Execute ----
+	exec := issue + S
+	// Actual operand availability: a dependent that reaches the FU
+	// before its data stalls in the load-bypass buffer (one extra
+	// cycle per entry); if the producer load actually missed, the
+	// dependent is flushed and replayed (Section 4.3).
+	actual := exec
+	for _, dist := range [2]int{in.Src1Dist, in.Src2Dist} {
+		j := producer(i, dist)
+		if j >= 0 && m.completeT[j] > actual {
+			actual = m.completeT[j]
 		}
-		if actual > exec {
-			delay := actual - exec
-			if delay <= int64(cfg.BypassEntries) {
-				m.res.BypassStalls++
-				// Occupy a bypass slot; conflicts push the start out.
-				slot := acquireUnit(m.bypass, exec, delay)
-				if slot > exec {
-					m.res.BufferConflict++
-				}
-				exec = slot + delay
-			} else {
-				m.res.Replays++
-				exec = actual + int64(cfg.ReplayCycles)
+	}
+	if actual > exec {
+		delay := actual - exec
+		if delay <= int64(cfg.BypassEntries) {
+			m.res.BypassStalls++
+			// Occupy a bypass slot; conflicts push the start out.
+			slot := acquireUnit(m.bypass, exec, delay)
+			if slot > exec {
+				m.res.BufferConflict++
 			}
+			exec = slot + delay
+		} else {
+			m.res.Replays++
+			exec = actual + int64(cfg.ReplayCycles)
 		}
+	}
 
-		lat := int64(opLatency(in.Op))
-		busy := int64(1)
-		if !pipelined(in.Op) {
-			busy = lat
-		}
-		exec = acquireUnit(m.units(in.Op), exec, busy)
-		m.execT[r] = exec
+	lat := int64(opLatency(in.Op))
+	busy := int64(1)
+	if !pipelined(in.Op) {
+		busy = lat
+	}
+	exec = acquireUnit(m.units(in.Op), exec, busy)
+	m.execT[r] = exec
 
-		// ---- Complete ----
-		var complete int64
-		switch in.Op {
-		case workload.Load:
-			word := in.Addr &^ 7
-			if si, ok := m.storeIdx[word]; ok && i-si <= cfg.StoreForwardWindow {
-				m.res.Forwards++
-				complete = exec + int64(cfg.PredictedLoadCycles)
-			} else {
-				m.res.L1DAccesses++
-				miss0 := m.hier.L1D.Misses
-				complete = m.hier.DataAccess(in.Addr, false, exec)
-				if m.hier.L1D.Misses > miss0 {
-					m.res.L1DMisses++
-				}
-			}
-		case workload.Store:
-			m.storeIdx[in.Addr&^7] = i
+	// ---- Complete ----
+	var complete int64
+	switch in.Op {
+	case workload.Load:
+		word := in.Addr &^ 7
+		if si, ok := m.storeIdx[word]; ok && i-si <= cfg.StoreForwardWindow {
+			m.res.Forwards++
+			complete = exec + int64(cfg.PredictedLoadCycles)
+		} else {
 			m.res.L1DAccesses++
 			miss0 := m.hier.L1D.Misses
-			m.hier.DataAccess(in.Addr, true, exec)
+			complete = m.hier.DataAccess(in.Addr, false, exec)
 			if m.hier.L1D.Misses > miss0 {
 				m.res.L1DMisses++
 			}
-			complete = exec + lat
-		default:
-			complete = exec + lat
 		}
-		m.completeT[r] = complete
+	case workload.Store:
+		word := in.Addr &^ 7
+		m.storeIdx[word] = i
+		m.storeWord[r] = word
+		m.res.L1DAccesses++
+		miss0 := m.hier.L1D.Misses
+		m.hier.DataAccess(in.Addr, true, exec)
+		if m.hier.L1D.Misses > miss0 {
+			m.res.L1DMisses++
+		}
+		complete = exec + lat
+	default:
+		complete = exec + lat
+	}
+	m.completeT[r] = complete
 
-		// ---- Branch redirect ----
-		if in.Op == workload.Branch && in.Mispredicted {
-			m.res.Mispredicts++
-			if complete+1 > m.fetchNotBefore {
-				m.fetchNotBefore = complete + 1
-			}
-			m.lastFetchBlock = ^uint64(0)
+	// ---- Branch redirect ----
+	if in.Op == workload.Branch && in.Mispredicted {
+		m.res.Mispredicts++
+		if complete+1 > m.fetchNotBefore {
+			m.fetchNotBefore = complete + 1
 		}
-
-		// ---- Commit ----
-		com := complete + 1
-		if i > 0 {
-			if prev := m.commitT[(i-1)%ringSize]; prev > com {
-				com = prev
-			}
-		}
-		com = m.commitSlot.next(com)
-		m.commitT[r] = com
+		m.lastFetchBlock = ^uint64(0)
 	}
 
-	last := m.commitT[(n-1)%ringSize]
-	m.res.Instructions = uint64(n)
-	m.res.Cycles = uint64(last)
+	// ---- Commit ----
+	com := complete + 1
+	if i > 0 {
+		if prev := m.commitT[(i-1)%ringSize]; prev > com {
+			com = prev
+		}
+	}
+	com = m.commitSlot.next(com)
+	m.commitT[r] = com
+}
+
+// finish closes a run of n instructions and returns its result.
+func (m *machine) finish(n int) Result {
 	if n > 0 {
+		last := m.commitT[(n-1)%ringSize]
+		m.res.Cycles = uint64(last)
 		m.res.CPI = float64(last) / float64(n)
 	}
+	m.res.Instructions = uint64(n)
 	m.res.L1DSlowHits = m.hier.L1D.SlowHits
 	m.res.L2Misses = m.hier.L2Misses
 	m.res.MemAccesses = m.hier.MemAccesses

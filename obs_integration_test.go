@@ -56,6 +56,30 @@ func TestInstrumentedPipeline(t *testing.T) {
 		t.Errorf("instructions simulated = %d, want %d", got, 48*20_000)
 	}
 
+	// A batch of two new configurations and the cached baseline: one
+	// miss per distinct configuration simulated (perfbench divides the
+	// paper's wall time by this counter), one run per (configuration,
+	// benchmark), but one trace pass per benchmark for the whole batch.
+	e.NaiveBinning()
+	if got := reg.Counter("perf_config_cache_misses_total").Value(); got != 4 {
+		t.Errorf("config-cache misses after the naive batch = %d, want 4", got)
+	}
+	if got := reg.Counter("perf_config_cache_hits_total").Value(); got != 3 {
+		t.Errorf("config-cache hits after the naive batch = %d, want 3", got)
+	}
+	if got := reg.Counter("cpu_runs_total").Value(); got != 96 {
+		t.Errorf("cpu runs = %d, want 96 (4 configurations × 24 benchmarks)", got)
+	}
+	if got := reg.Histogram("perf_benchmark_cpi", nil).Count(); got != 96 {
+		t.Errorf("CPI observations = %d, want 96 (4 configurations × 24 benchmarks)", got)
+	}
+	if got := reg.Counter("cpu_trace_passes_total").Value(); got != 48 {
+		t.Errorf("trace passes = %d, want 48 (2 batches × 24 benchmarks)", got)
+	}
+	if got := reg.Histogram("perf_benchmark_run_seconds", nil).Count(); got != 48 {
+		t.Errorf("benchmark run timings = %d, want 48 (one per benchmark per batch)", got)
+	}
+
 	// Both encoders must produce well-formed output of the live registry.
 	var buf bytes.Buffer
 	if err := reg.WriteJSON(&buf); err != nil {

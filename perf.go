@@ -86,86 +86,168 @@ func configKey(wayCycles []int, hRegion, predicted int) string {
 	return b.String()
 }
 
-// suiteCPI returns the per-benchmark CPI of the given L1D configuration,
-// evaluating the whole suite in parallel on first use. Concurrent calls
-// for the same uncached key coalesce onto one evaluation: the first
-// caller computes, latecomers block on its completion — without this
-// guard every concurrent miss ran the full 24-benchmark suite.
-func (e *PerfEvaluator) suiteCPI(wayCycles []int, hRegion, predicted int) []float64 {
-	key := configKey(wayCycles, hRegion, predicted)
-	e.mu.Lock()
-	if got, ok := e.cache[key]; ok {
-		e.mu.Unlock()
-		obs.C("perf_config_cache_hits_total").Inc()
-		return got
-	}
-	if call, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		obs.C("perf_config_cache_coalesced_total").Inc()
-		<-call.done
-		return call.cpis
-	}
-	call := &perfCall{done: make(chan struct{})}
-	e.inflight[key] = call
-	e.mu.Unlock()
-	obs.C("perf_config_cache_misses_total").Inc()
-	e.computes.Add(1)
+// l1dKey is one L1D configuration the evaluator prices: per-way hit
+// cycles (nil = the unmodified cache), the disabled horizontal region
+// (-1 = none) and the load latency the scheduler predicts (0 = base).
+type l1dKey struct {
+	ways               []int
+	hRegion, predicted int
+}
 
-	sp := obs.StartSpan("suite_cpi " + key)
+func (k l1dKey) String() string { return configKey(k.ways, k.hRegion, k.predicted) }
+
+// baselineKey is the unmodified 4-cycle 4-way cache.
+var baselineKey = l1dKey{nil, -1, 0}
+
+// keyOf returns the key of a facade cache configuration.
+func keyOf(cfg CacheConfig, predicted int) l1dKey {
+	way := cfg.WayCycles
+	if len(way) == 0 {
+		way = nil
+	}
+	return l1dKey{way, cfg.HRegionOff, predicted}
+}
+
+// suiteCPIs returns the per-benchmark CPI of each requested L1D
+// configuration. Cached keys are read back; keys another call is
+// already evaluating are awaited, not recomputed; every remaining
+// distinct key is registered in flight and the lot is simulated in one
+// suite pass, each benchmark's trace generated once for all of them.
+// Each distinct key of a request counts once as a cache hit, a
+// coalesced wait or a miss (a suite evaluation).
+func (e *PerfEvaluator) suiteCPIs(keys []l1dKey) [][]float64 {
+	calls := make([]*perfCall, len(keys))    // evaluation to await, by position
+	first := make(map[string]int, len(keys)) // key -> its first position
+	var todo []l1dKey
+	var todoCalls []*perfCall
+	var hits, coalesced int64
+	out := make([][]float64, len(keys))
+	e.mu.Lock()
+	for k, key := range keys {
+		id := key.String()
+		if _, dup := first[id]; dup {
+			continue
+		}
+		first[id] = k
+		if got, ok := e.cache[id]; ok {
+			out[k] = got
+			hits++
+			continue
+		}
+		call, ok := e.inflight[id]
+		if ok {
+			coalesced++
+		} else {
+			call = &perfCall{done: make(chan struct{})}
+			e.inflight[id] = call
+			todo = append(todo, key)
+			todoCalls = append(todoCalls, call)
+		}
+		calls[k] = call
+	}
+	e.mu.Unlock()
+	if hits > 0 {
+		obs.C("perf_config_cache_hits_total").Add(hits)
+	}
+	if coalesced > 0 {
+		obs.C("perf_config_cache_coalesced_total").Add(coalesced)
+	}
+
+	if len(todo) > 0 {
+		obs.C("perf_config_cache_misses_total").Add(int64(len(todo)))
+		e.computes.Add(int64(len(todo)))
+		cpis := e.simulate(todo)
+		e.mu.Lock()
+		for j, key := range todo {
+			id := key.String()
+			e.cache[id] = cpis[j]
+			delete(e.inflight, id)
+			todoCalls[j].cpis = cpis[j]
+		}
+		e.mu.Unlock()
+		for _, call := range todoCalls {
+			close(call.done)
+		}
+	}
+	for k, key := range keys {
+		if k0 := first[key.String()]; k0 != k {
+			out[k] = out[k0]
+		} else if call := calls[k]; call != nil {
+			<-call.done
+			out[k] = call.cpis
+		}
+	}
+	return out
+}
+
+// simulate runs the whole suite once for a set of configurations.
+// Workers pull benchmarks from a shared index; each benchmark's trace
+// is generated once and stepped through one machine per configuration.
+func (e *PerfEvaluator) simulate(keys []l1dKey) [][]float64 {
+	sp := obs.StartSpan("suite_cpi " + strconv.Itoa(len(keys)) + " configs")
 	defer sp.End()
 	runSec := obs.H("perf_benchmark_run_seconds", obs.ExpBuckets(1e-3, 4, 10))
 	cpiHist := obs.H("perf_benchmark_cpi", obs.LinearBuckets(0.5, 0.25, 14))
 
+	cfgs := make([]cpu.Config, len(keys))
+	for k, key := range keys {
+		cfgs[k] = cpu.DefaultConfig().WithL1D(key.ways, key.hRegion, key.predicted)
+	}
 	suite := workload.SPEC2000()
-	cpis := make([]float64, len(suite))
-	workers := runtime.GOMAXPROCS(0)
+	cpis := make([][]float64, len(keys))
+	for k := range cpis {
+		cpis[k] = make([]float64, len(suite))
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(suite)); w++ {
 		wg.Add(1)
-		go func(start int) {
+		go func(w int) {
 			defer wg.Done()
-			ws := sp.Worker("cpi_runs", start)
-			for i := start; i < len(suite); i += workers {
-				cfg := cpu.DefaultConfig().WithL1D(wayCycles, hRegion, predicted)
-				gen := workload.NewGenerator(suite[i], e.cfg.Seed)
+			ws := sp.Worker("cpi_runs", w)
+			defer ws.End()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(suite) {
+					return
+				}
 				t0 := time.Now()
-				cpis[i] = cpu.Run(gen, e.cfg.Instructions, cfg).CPI
+				res := cpu.RunBatch(workload.NewGenerator(suite[i], e.cfg.Seed), e.cfg.Instructions, cfgs)
 				runSec.Observe(time.Since(t0).Seconds())
-				cpiHist.Observe(cpis[i])
+				for k, r := range res {
+					cpis[k][i] = r.CPI
+					cpiHist.Observe(r.CPI)
+				}
 			}
-			ws.End()
 		}(w)
 	}
 	wg.Wait()
-
-	e.mu.Lock()
-	e.cache[key] = cpis
-	delete(e.inflight, key)
-	e.mu.Unlock()
-	call.cpis = cpis
-	close(call.done)
 	return cpis
 }
 
-// baselineCPI is the unmodified 4-cycle 4-way cache.
-func (e *PerfEvaluator) baselineCPI() []float64 {
-	return e.suiteCPI(nil, -1, 0)
+// degradations returns, for each key, the per-benchmark CPI increase
+// (percent) relative to the unmodified cache, requesting the keys and
+// the baseline as one batch.
+func (e *PerfEvaluator) degradations(keys ...l1dKey) [][]float64 {
+	if len(keys) == 0 {
+		return nil
+	}
+	cpis := e.suiteCPIs(append([]l1dKey{baselineKey}, keys...))
+	base := cpis[0]
+	out := make([][]float64, len(keys))
+	for k, cur := range cpis[1:] {
+		out[k] = make([]float64, len(base))
+		for i := range base {
+			out[k][i] = (cur[i]/base[i] - 1) * 100
+		}
+	}
+	return out
 }
 
 // Degradations returns the per-benchmark CPI increase (percent) of a
 // cache configuration relative to the unmodified cache.
 func (e *PerfEvaluator) Degradations(cfg CacheConfig, predicted int) []float64 {
-	way := cfg.WayCycles
-	if len(way) == 0 {
-		way = nil
-	}
-	base := e.baselineCPI()
-	cur := e.suiteCPI(way, cfg.HRegionOff, predicted)
-	out := make([]float64, len(base))
-	for i := range base {
-		out[i] = (cur[i]/base[i] - 1) * 100
-	}
-	return out
+	return e.degradations(keyOf(cfg, predicted))[0]
 }
 
 // AverageDegradation returns the suite-average CPI increase (percent).
@@ -200,78 +282,63 @@ type Table6 struct {
 // Table6 evaluates the performance cost of every saved configuration.
 // Rows reuse scheme-effective configurations heavily (every YAPD row is
 // the same 3-way cache, the VACA rows collapse to a handful of
-// way-cycle vectors), so the distinct set is deduplicated and evaluated
-// in parallel up front; the row loop then reads cache hits.
+// way-cycle vectors), so all of them and the baseline are requested as
+// one batch, which simulates each distinct configuration once.
 func (s *Study) Table6(e *PerfEvaluator) Table6 {
 	sp := obs.StartSpan("table6_cpi")
 	defer sp.End()
 	rows := s.SavedConfigurations()
 	out := Table6{}
 
-	// Scheme-effective configurations per row.
 	threeWay := CacheConfig{WayCycles: []int{0, 4, 4, 4}, HRegionOff: -1}
 
-	distinct := map[string]CacheConfig{}
-	need := func(cfg CacheConfig) {
-		distinct[configKey(cfg.WayCycles, cfg.HRegionOff, 0)] = cfg
+	// Each row's scheme-effective configuration per scheme, as an index
+	// into keys (-1: the scheme cannot save the row). suiteCPIs simulates
+	// each distinct key once however often it repeats.
+	var keys []l1dKey
+	use := func(cfg CacheConfig) int {
+		keys = append(keys, keyOf(cfg, 0))
+		return len(keys) - 1
 	}
-	for _, r := range rows {
-		if r.Key.N5+r.Key.N6 <= 1 {
-			need(threeWay)
-		}
-		if r.Key.N6 == 0 && !r.LeakageLimited {
-			need(vacaConfig(r.Key.N5, 4))
-		}
-		switch {
-		case r.LeakageLimited && r.Key.N5 == 0 && r.Key.N6 == 0:
-			need(threeWay)
-		case r.Key.N6 == 1:
-			need(vacaConfig(r.Key.N5, 3))
-		}
-	}
-	var wg sync.WaitGroup
-	for _, cfg := range distinct {
-		wg.Add(1)
-		go func(cfg CacheConfig) {
-			defer wg.Done()
-			// Warms the config's suite CPI (and, via singleflight, the
-			// shared baseline) into the evaluator cache.
-			e.Degradations(cfg, 0)
-		}(cfg)
-	}
-	wg.Wait()
-
-	for _, r := range rows {
-		row := Table6Row{Key: r.Key, LeakageLimited: r.LeakageLimited, Chips: r.Chips}
-
+	const yapd, vaca, hybrid = 0, 1, 2
+	picks := make([][3]int, len(rows))
+	for i, r := range rows {
+		p := [3]int{-1, -1, -1}
 		// YAPD: applicable when at most one way is slow (it gets turned
 		// off) or the chip is leakage-limited; result is always a 3-way
 		// 4-cycle cache.
 		if r.Key.N5+r.Key.N6 <= 1 {
-			row.YAPD = e.AverageDegradation(threeWay, 0)
-			row.YAPDOK = true
+			p[yapd] = use(threeWay)
 		}
-
 		// VACA: applicable when nothing needs more than 5 cycles and the
 		// chip is not leakage-limited; all ways stay on.
 		if r.Key.N6 == 0 && !r.LeakageLimited {
-			row.VACA = e.AverageDegradation(vacaConfig(r.Key.N5, 4), 0)
-			row.VACAOK = true
+			p[vaca] = use(vacaConfig(r.Key.N5, 4))
 		}
-
 		// Hybrid: keeps ways on when possible (VACA behaviour), turns off
 		// a single 6-cycle way, or the leakiest way on leakage limits.
 		switch {
 		case r.LeakageLimited && r.Key.N5 == 0 && r.Key.N6 == 0:
-			row.Hybrid = e.AverageDegradation(threeWay, 0)
-			row.HybridOK = true
+			p[hybrid] = use(threeWay)
 		case r.Key.N6 == 0 && !r.LeakageLimited:
-			row.Hybrid = row.VACA
-			row.HybridOK = row.VACAOK
+			p[hybrid] = p[vaca]
 		case r.Key.N6 == 1:
-			row.Hybrid = e.AverageDegradation(vacaConfig(r.Key.N5, 3), 0)
-			row.HybridOK = true
+			p[hybrid] = use(vacaConfig(r.Key.N5, 3))
 		}
+		picks[i] = p
+	}
+	deg := e.degradations(keys...)
+	avg := func(k int) (float64, bool) {
+		if k < 0 {
+			return 0, false
+		}
+		return stats.Mean(deg[k]), true
+	}
+	for i, r := range rows {
+		row := Table6Row{Key: r.Key, LeakageLimited: r.LeakageLimited, Chips: r.Chips}
+		row.YAPD, row.YAPDOK = avg(picks[i][yapd])
+		row.VACA, row.VACAOK = avg(picks[i][vaca])
+		row.Hybrid, row.HybridOK = avg(picks[i][hybrid])
 		out.Rows = append(out.Rows, row)
 	}
 
@@ -352,13 +419,13 @@ type FigureSeries struct {
 // 3-1-0 under YAPD (way off) and VACA (5-cycle way kept on; the Hybrid
 // behaves identically here, Section 5.2).
 func (e *PerfEvaluator) Figure9() FigureSeries {
+	d := e.degradations(
+		keyOf(CacheConfig{WayCycles: []int{0, 4, 4, 4}, HRegionOff: -1}, 0),
+		keyOf(CacheConfig{WayCycles: []int{5, 4, 4, 4}, HRegionOff: -1}, 0))
 	return FigureSeries{
 		Title:      "Figure 9: CPI increase, cache configuration 3-1-0",
 		Benchmarks: e.Benchmarks(),
-		Series: map[string][]float64{
-			"YAPD": e.Degradations(CacheConfig{WayCycles: []int{0, 4, 4, 4}, HRegionOff: -1}, 0),
-			"VACA": e.Degradations(CacheConfig{WayCycles: []int{5, 4, 4, 4}, HRegionOff: -1}, 0),
-		},
+		Series:     map[string][]float64{"YAPD": d[0], "VACA": d[1]},
 	}
 }
 
@@ -378,9 +445,10 @@ func (e *PerfEvaluator) Figure10() FigureSeries {
 // increase when all loads take one and two extra cycles (the scheduler
 // expecting the slower latency, so no bypass buffers are involved).
 func (e *PerfEvaluator) NaiveBinning() (plusOne, plusTwo float64) {
-	plusOne = e.AverageDegradation(CacheConfig{WayCycles: []int{5, 5, 5, 5}, HRegionOff: -1}, 5)
-	plusTwo = e.AverageDegradation(CacheConfig{WayCycles: []int{6, 6, 6, 6}, HRegionOff: -1}, 6)
-	return
+	d := e.degradations(
+		keyOf(CacheConfig{WayCycles: []int{5, 5, 5, 5}, HRegionOff: -1}, 5),
+		keyOf(CacheConfig{WayCycles: []int{6, 6, 6, 6}, HRegionOff: -1}, 6))
+	return stats.Mean(d[0]), stats.Mean(d[1])
 }
 
 // RenderFigure renders a FigureSeries as labelled text bars.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func smallPerf() *PerfEvaluator {
@@ -218,5 +219,88 @@ func TestSuiteCPISingleflight(t *testing.T) {
 	e.Degradations(cfg, 0)
 	if got := e.computes.Load(); got != 2 {
 		t.Errorf("warm call recomputed the suite (computes=%d)", got)
+	}
+}
+
+// A batch that overlaps a key another call is still evaluating must
+// wait for that evaluation instead of recomputing it, while simulating
+// its other keys; concurrent overlapping batches and single-key calls
+// compute each distinct key exactly once.
+func TestSuiteCPIBatchSingleflight(t *testing.T) {
+	e := NewPerfEvaluator(PerfConfig{Instructions: 2_000})
+	slow := keyOf(CacheConfig{WayCycles: []int{5, 4, 4, 4}, HRegionOff: -1}, 0)
+	twoSlow := keyOf(CacheConfig{WayCycles: []int{5, 5, 4, 4}, HRegionOff: -1}, 0)
+
+	// Hold slow in flight as a single-key evaluation would.
+	held := &perfCall{done: make(chan struct{})}
+	e.mu.Lock()
+	e.inflight[slow.String()] = held
+	e.mu.Unlock()
+	done := make(chan [][]float64)
+	go func() { done <- e.suiteCPIs([]l1dKey{slow, baselineKey, twoSlow, slow}) }()
+
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		e.mu.Lock()
+		_, ok := e.cache[twoSlow.String()]
+		e.mu.Unlock()
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("batch never simulated its own keys")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-done:
+		t.Fatal("batch returned before the in-flight key finished")
+	case <-time.After(20 * time.Millisecond):
+	}
+	sentinel := []float64{42}
+	e.mu.Lock()
+	e.cache[slow.String()] = sentinel
+	delete(e.inflight, slow.String())
+	e.mu.Unlock()
+	held.cpis = sentinel
+	close(held.done)
+	got := <-done
+	if &got[0][0] != &sentinel[0] || &got[3][0] != &sentinel[0] {
+		t.Error("batch recomputed the in-flight key instead of awaiting it")
+	}
+	if len(got[1]) != 24 || len(got[2]) != 24 {
+		t.Error("batch's own keys incomplete")
+	}
+	if n := e.computes.Load(); n != 2 {
+		t.Errorf("computes = %d, want 2 (baseline and the 2-slow-way cache)", n)
+	}
+
+	// Overlapping batches and single-key calls racing on a fresh
+	// evaluator: four distinct keys, four suite evaluations.
+	e = NewPerfEvaluator(PerfConfig{Instructions: 2_000})
+	cfg := CacheConfig{WayCycles: []int{5, 4, 4, 4}, HRegionOff: -1}
+	const callers = 8
+	singles := make([][]float64, callers)
+	batches := make([][][]float64, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			singles[i] = e.Degradations(cfg, 0)
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			batches[i] = e.degradations(slow, twoSlow, keyOf(cfg, 5))
+		}(i)
+	}
+	wg.Wait()
+	if n := e.computes.Load(); n != 4 {
+		t.Errorf("computes = %d for 4 distinct keys across %d concurrent callers", n, 2*callers)
+	}
+	for i := 0; i < callers; i++ {
+		if !reflect.DeepEqual(singles[i], batches[0][0]) || !reflect.DeepEqual(batches[i], batches[0]) {
+			t.Fatalf("caller %d saw different degradations", i)
+		}
 	}
 }
