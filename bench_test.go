@@ -39,6 +39,16 @@ func benchSetup(b *testing.B) (*Study, *PerfEvaluator) {
 	return benchState.study, benchState.perf
 }
 
+// buildRegular builds the regular-organisation population cfg describes.
+func buildRegular(b *testing.B, cfg core.PopulationConfig) *core.Population {
+	cfg.Org = core.OrgRegular
+	res, err := core.Build(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Regular
+}
+
 func BenchmarkTable2(b *testing.B) {
 	s, _ := benchSetup(b)
 	var bd LossBreakdown
@@ -176,7 +186,7 @@ func BenchmarkAblationCorrelation(b *testing.B) {
 			if f.DiagWay > 1 {
 				f.DiagWay = 1
 			}
-			pop := core.BuildPopulation(core.PopulationConfig{N: 500, Seed: 2006, Fact: &f})
+			pop := buildRegular(b, core.PopulationConfig{N: 500, Seed: 2006, Fact: &f})
 			lim := core.DeriveLimits(pop, core.Nominal())
 			bd := core.BreakdownLosses(pop, lim, core.YAPD{})
 			multi := bd.Base[core.LossDelay2] + bd.Base[core.LossDelay3] + bd.Base[core.LossDelay4]
@@ -218,7 +228,7 @@ func BenchmarkAblationBufferDepth(b *testing.B) {
 func BenchmarkAblationPopulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{250, 1000, 2000} {
-			pop := core.BuildPopulation(core.PopulationConfig{N: n, Seed: 2006})
+			pop := buildRegular(b, core.PopulationConfig{N: n, Seed: 2006})
 			lim := core.DeriveLimits(pop, core.Nominal())
 			bd := core.BreakdownLosses(pop, lim, core.Hybrid{})
 			b.ReportMetric(bd.Yield(0)*100, "hybrid-yield@"+popName(n))
@@ -320,7 +330,7 @@ func BenchmarkAblationAdaptiveHybrid(b *testing.B) {
 func BenchmarkPopulationBuild(b *testing.B) {
 	const n = 200
 	for i := 0; i < b.N; i++ {
-		core.BuildPopulation(core.PopulationConfig{N: n, Seed: int64(i + 1)})
+		buildRegular(b, core.PopulationConfig{N: n, Seed: int64(i + 1)})
 	}
 	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "chips/s")
 }
@@ -331,7 +341,7 @@ func BenchmarkPopulationBuild(b *testing.B) {
 func BenchmarkPopulationBuildPair(b *testing.B) {
 	const n = 200
 	for i := 0; i < b.N; i++ {
-		core.BuildPopulationPair(core.PopulationConfig{N: n, Seed: int64(i + 1)})
+		core.Build(context.Background(), core.PopulationConfig{N: n, Seed: int64(i + 1)})
 	}
 	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
 }
@@ -341,7 +351,7 @@ func BenchmarkPopulationBuildPair(b *testing.B) {
 // comparison against BenchmarkPopulationBuildPair (Checkpoint nil) pins
 // the acceptance bar: the disabled-store path adds zero allocations to
 // the per-chip hot loop, and enabling checkpointing costs only the
-// checkpointer goroutine plus per-tick sink work, nothing per chip.
+// build's frontier publisher plus per-tick sink work, nothing per chip.
 func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 	const n = 200
 	sunk := 0
@@ -350,7 +360,7 @@ func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 		Sink:     func(*core.BuildCheckpoint) error { sunk++; return nil },
 	}
 	for i := 0; i < b.N; i++ {
-		core.BuildPopulationPair(core.PopulationConfig{
+		core.Build(context.Background(), core.PopulationConfig{
 			N: n, Seed: int64(i + 1), Checkpoint: ck,
 		})
 	}
@@ -359,16 +369,16 @@ func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 }
 
 // BenchmarkEstimateArmed is the pair builder with streaming yield
-// estimation armed at a server-realistic snapshot interval. Like the
-// checkpointer, the estimator must stay off the per-chip hot path: the
+// estimation armed at a server-realistic snapshot interval. Like
+// checkpointing, estimation must stay off the per-chip hot path: the
 // benchmark first pins the alloc budget (arming costs at most two
-// allocations per build — the estimator and its frontier slice — and
-// nothing per chip) and then reports the throughput with snapshots
-// publishing.
+// allocations per build — the frontier publisher and its frontier
+// slice — and nothing per chip) and then reports the throughput with
+// snapshots publishing.
 func BenchmarkEstimateArmed(b *testing.B) {
 	const n = 200
 	plainCfg := core.PopulationConfig{N: n, Seed: 2006}
-	plain := testing.AllocsPerRun(10, func() { core.BuildPopulationPair(plainCfg) })
+	plain := testing.AllocsPerRun(10, func() { core.Build(context.Background(), plainCfg) })
 	published := 0
 	est := &core.EstimateConfig{
 		Interval: 2 * time.Millisecond,
@@ -376,7 +386,7 @@ func BenchmarkEstimateArmed(b *testing.B) {
 	}
 	armedCfg := plainCfg
 	armedCfg.Estimate = est
-	armed := testing.AllocsPerRun(10, func() { core.BuildPopulationPair(armedCfg) })
+	armed := testing.AllocsPerRun(10, func() { core.Build(context.Background(), armedCfg) })
 	if extra := armed - plain; extra > 2 {
 		b.Fatalf("arming estimation costs %.0f extra allocs per build, budget is 2", extra)
 	}
@@ -384,7 +394,7 @@ func BenchmarkEstimateArmed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		armedCfg.Seed = int64(i + 1)
-		core.BuildPopulationPair(armedCfg)
+		core.Build(context.Background(), armedCfg)
 	}
 	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
 	b.ReportMetric(float64(published)/float64(b.N), "snapshots/op")
@@ -497,7 +507,7 @@ func BenchmarkSweepFullRebuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range plan.Configs {
 			tech := cfg.Tech
-			core.BuildPopulation(core.PopulationConfig{
+			buildRegular(b, core.PopulationConfig{
 				N: spec.N, Seed: spec.Seed, Tech: &tech, Workers: 1,
 			})
 		}

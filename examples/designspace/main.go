@@ -6,15 +6,26 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"yieldcache"
 	"yieldcache/internal/core"
 	"yieldcache/internal/report"
 )
 
+// regular builds the regular-organisation population of n chips.
+func regular(n int) *core.Population {
+	res, err := core.Build(context.Background(), core.PopulationConfig{N: n, Seed: 2006, Org: core.OrgRegular})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Regular
+}
+
 func main() {
-	pop := core.BuildPopulation(core.PopulationConfig{N: 1500, Seed: 2006})
+	pop := regular(1500)
 
 	t := report.NewTable("Yield [%] across the constraint grid (1500 chips)",
 		"delay k", "leak mult", "base", "YAPD", "VACA", "Hybrid")
@@ -36,7 +47,7 @@ func main() {
 	conv := report.NewTable("Monte Carlo convergence (nominal constraints)",
 		"chips", "base yield [%]", "Hybrid yield [%]")
 	for _, n := range []int{250, 500, 1000, 2000} {
-		p := core.BuildPopulation(core.PopulationConfig{N: n, Seed: 2006})
+		p := regular(n)
 		lim := core.DeriveLimits(p, yieldcache.Nominal())
 		bd := core.BreakdownLosses(p, lim, core.Hybrid{})
 		conv.AddRow(n, fmt.Sprintf("%.1f", bd.Yield(-1)*100), fmt.Sprintf("%.1f", bd.Yield(0)*100))

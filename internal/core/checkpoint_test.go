@@ -36,7 +36,7 @@ func chipsEqual(t *testing.T, label string, a, b *Population) {
 // acceptance bar for crash recovery.
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	const n, seed = 120, 2006
-	wantReg, wantHor := BuildPopulationPair(PopulationConfig{N: n, Seed: seed})
+	wantReg, wantHor := buildPair(t, PopulationConfig{N: n, Seed: seed})
 
 	// Capture checkpoints from an instrumented build.
 	var mu sync.Mutex
@@ -65,10 +65,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			return nil
 		},
 	}}
-	reg, hor, err := BuildPopulationPairCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg, hor := buildPair(t, cfg)
 	chipsEqual(t, "instrumented regular", reg, wantReg)
 	chipsEqual(t, "instrumented horizontal", hor, wantHor)
 
@@ -90,13 +87,10 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	}
 
 	// Resume: the prefix comes from the checkpoint, the rest rebuilds.
-	reg2, hor2, err := BuildPopulationPairCtx(context.Background(), PopulationConfig{
+	reg2, hor2 := buildPair(t, PopulationConfig{
 		N: n, Seed: seed, Workers: 2, // different worker count on purpose
 		Checkpoint: &CheckpointConfig{Resume: ck},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	chipsEqual(t, "resumed regular", reg2, wantReg)
 	chipsEqual(t, "resumed horizontal", hor2, wantHor)
 }
@@ -105,7 +99,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 // blended into the wrong population.
 func TestResumeValidatesProvenance(t *testing.T) {
 	const n, seed = 40, 7
-	reg, hor := BuildPopulationPair(PopulationConfig{N: n, Seed: seed})
+	reg, hor := buildPair(t, PopulationConfig{N: n, Seed: seed})
 	good := &BuildCheckpoint{
 		Seed: seed, N: n, Done: 10, Pair: true,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
@@ -127,7 +121,7 @@ func TestResumeValidatesProvenance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := *good
 			tc.mutate(&bad)
-			_, _, err := BuildPopulationPairCtx(context.Background(), PopulationConfig{
+			_, err := Build(context.Background(), PopulationConfig{
 				N: n, Seed: seed, Checkpoint: &CheckpointConfig{Resume: &bad},
 			})
 			if err == nil {
@@ -144,7 +138,7 @@ func TestResumeValidatesProvenance(t *testing.T) {
 // descriptive errors.
 func TestCheckpointEncodeDecode(t *testing.T) {
 	const n, seed = 30, 3
-	reg, hor := BuildPopulationPair(PopulationConfig{N: n, Seed: seed})
+	reg, hor := buildPair(t, PopulationConfig{N: n, Seed: seed})
 	ck := &BuildCheckpoint{
 		Seed: seed, N: n, Done: n, Pair: true,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
@@ -186,5 +180,23 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 	}
 	if _, err := DecodeBuildCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("population file decoded as checkpoint: err = %v", err)
+	}
+}
+
+// A checkpoint whose chips do not have the shape its geometry promises
+// must be refused with an error, at decode and at resume, instead of
+// panicking while the prefix is copied into the arena.
+func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
+	const n, seed = 40, 7
+	bad := malformedCheckpoint(n, seed)
+	if _, err := DecodeBuildCheckpoint(bytes.NewReader(encoded(t, bad))); err == nil ||
+		!strings.Contains(err.Error(), "geometry") {
+		t.Errorf("decoding a malformed checkpoint: err = %v, want a geometry mismatch", err)
+	}
+	_, err := Build(context.Background(), PopulationConfig{
+		N: n, Seed: seed, Checkpoint: &CheckpointConfig{Resume: bad},
+	})
+	if err == nil || !strings.Contains(err.Error(), "geometry") {
+		t.Errorf("resuming from a malformed checkpoint: err = %v, want a geometry mismatch", err)
 	}
 }

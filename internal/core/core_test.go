@@ -462,9 +462,9 @@ func TestSavedConfigurations(t *testing.T) {
 }
 
 func TestBuildPopulationDeterministicAndParallel(t *testing.T) {
-	cfg := PopulationConfig{N: 50, Seed: 123}
-	a := BuildPopulation(cfg)
-	b := BuildPopulation(cfg)
+	cfg := PopulationConfig{N: 50, Seed: 123, Org: OrgRegular}
+	a := mustBuild(t, cfg).Regular
+	b := mustBuild(t, cfg).Regular
 	if len(a.Chips) != 50 {
 		t.Fatalf("population size = %d", len(a.Chips))
 	}
@@ -479,8 +479,8 @@ func TestBuildPopulationDeterministicAndParallel(t *testing.T) {
 }
 
 func TestRegularAndHYAPDShareDraws(t *testing.T) {
-	reg := BuildPopulation(PopulationConfig{N: 30, Seed: 7})
-	hor := BuildPopulation(PopulationConfig{N: 30, Seed: 7, HYAPD: true})
+	reg := mustBuild(t, PopulationConfig{N: 30, Seed: 7, Org: OrgRegular}).Regular
+	hor := mustBuild(t, PopulationConfig{N: 30, Seed: 7, Org: OrgHYAPD}).Horizontal
 	for i := range reg.Chips {
 		ratio := hor.Chips[i].Meas.LatencyPS / reg.Chips[i].Meas.LatencyPS
 		if math.Abs(ratio-sram.HYAPDLatencyPenalty) > 1e-9 {
@@ -490,7 +490,7 @@ func TestRegularAndHYAPDShareDraws(t *testing.T) {
 }
 
 func TestDeriveLimits(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 200, Seed: 9})
+	pop := mustBuild(t, PopulationConfig{N: 200, Seed: 9, Org: OrgRegular}).Regular
 	nom := DeriveLimits(pop, Nominal())
 	rel := DeriveLimits(pop, Relaxed())
 	str := DeriveLimits(pop, Strict())
@@ -503,7 +503,7 @@ func TestDeriveLimits(t *testing.T) {
 }
 
 func TestScatter(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 100, Seed: 5})
+	pop := mustBuild(t, PopulationConfig{N: 100, Seed: 5, Org: OrgRegular}).Regular
 	lim := DeriveLimits(pop, Nominal())
 	pts := pop.Scatter(lim)
 	if len(pts) != 100 {
@@ -522,7 +522,7 @@ func TestScatter(t *testing.T) {
 }
 
 func TestTotalsUnderConstraints(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 300, Seed: 11})
+	pop := mustBuild(t, PopulationConfig{N: 300, Seed: 11, Org: OrgRegular}).Regular
 	rows := TotalsUnderConstraints(pop, pop, []Constraints{Relaxed(), Strict()}, YAPD{}, VACA{}, Hybrid{})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))

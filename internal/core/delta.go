@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"yieldcache/internal/circuit"
 	"yieldcache/internal/sram"
@@ -28,10 +27,10 @@ import (
 //   - parameters entering both (Vdd, VtNominal, DIBL) re-evaluate both
 //     halves, still skipping sampling.
 //
-// Every BuildPair result is bit-identical to a full
-// BuildPopulationPair of the same configuration at the new technology:
-// the kernel preserves draw and accumulation order, and cached
-// aggregates are the exact floats a full build computes.
+// Every BuildPair result is bit-identical to a full pair Build of the
+// same configuration at the new technology: the kernel preserves draw
+// and accumulation order, and cached aggregates are the exact floats a
+// full build computes.
 //
 // The retained draws cost about 7.7 KB per chip (N=2000 ≈ 15 MB), so
 // the builder is an opt-in for sweep-shaped workloads rather than the
@@ -49,91 +48,42 @@ type DeltaBuilder struct {
 	baseHor  *Population
 }
 
-// NewDeltaBuilder builds the base population pair for cfg (cfg.Workers
-// and cfg.Checkpoint are ignored; the build is sequential) and retains
-// the per-batch draws and leakage aggregates for delta re-evaluation.
-func NewDeltaBuilder(cfg PopulationConfig) *DeltaBuilder {
-	d, _ := NewDeltaBuilderCtx(context.Background(), cfg)
-	return d
-}
-
-// NewDeltaBuilderCtx is NewDeltaBuilder with cancellation: the base
-// build polls ctx once per sram.BatchWidth-chip batch and returns
-// ctx.Err() early when it fires, so a sweep job can abandon a large
-// base build the moment its request is cancelled.
-func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilder, error) {
+// NewDeltaBuilder builds the base population pair for cfg (cfg.Org,
+// cfg.Workers, cfg.Checkpoint and cfg.Estimate are ignored: the build
+// is a sequential pair build) and retains the per-batch draws and
+// leakage aggregates for delta re-evaluation. The base build polls ctx
+// once per sram.BatchWidth-chip batch and returns ctx.Err() early when
+// it fires, so a sweep job can abandon a large base build the moment
+// its request is cancelled.
+func NewDeltaBuilder(ctx context.Context, cfg PopulationConfig) (*DeltaBuilder, error) {
 	cfg.fill()
-	regModel := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
-	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
-	geom := regModel.Geom
+	nBatches := (cfg.N + sram.BatchWidth - 1) / sram.BatchWidth
 	d := &DeltaBuilder{
 		cfg:      cfg,
 		baseTech: *cfg.Tech,
-		geom:     geom,
-		sampler:  sampler,
+		geom:     sram.Paper16KB(),
+		sampler:  variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed),
+		draws:    make([]*sram.DrawSet, nBatches),
+		leaks:    make([]*sram.LeakState, nBatches),
 	}
-
-	cancelled, stopWatch := watchCancel(ctx)
-	defer stopWatch()
-
-	ev := regModel.NewEvaluator(sampler.NewScratch())
-	defer ev.Release()
-	regChips := newChipArena(cfg.N, geom, cancelled)
-	horChips := newChipArena(cfg.N, geom, cancelled)
-
-	nBatches := (cfg.N + sram.BatchWidth - 1) / sram.BatchWidth
-	d.draws = make([]*sram.DrawSet, nBatches)
-	d.leaks = make([]*sram.LeakState, nBatches)
+	if cfg.Geom != nil {
+		d.geom = *cfg.Geom
+	}
 	var ids [sram.BatchWidth]int
-	var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
-	for k := 0; k < nBatches; k++ {
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-		lo := k * sram.BatchWidth
-		bn := min(sram.BatchWidth, cfg.N-lo)
-		for j := 0; j < bn; j++ {
+	reg, hor, err := d.build(ctx, *cfg.Tech, func(ev *sram.Evaluator, k, lo int, regV, horV []*sram.CacheMeasurement) {
+		for j := range regV {
 			ids[j] = lo + j
-			regV[j] = &regChips[lo+j].Meas
-			horV[j] = &horChips[lo+j].Meas
 		}
-		ds := new(sram.DrawSet)
-		ls := new(sram.LeakState)
-		ev.Sample(ids[:bn], ds)
-		ev.EvalPair(ds, regV[:bn], horV[:bn], ls)
-		d.draws[k] = ds
-		d.leaks[k] = ls
+		d.draws[k], d.leaks[k] = new(sram.DrawSet), new(sram.LeakState)
+		ev.Sample(ids[:len(regV)], d.draws[k])
+		ev.EvalPair(d.draws[k], regV, horV, d.leaks[k])
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cancelled.Load() {
-		return nil, ctx.Err()
-	}
-	d.baseReg = &Population{Chips: regChips, Model: regModel, Seed: cfg.Seed}
-	d.baseHor = &Population{Chips: horChips, Model: newModelWithGeom(*cfg.Tech, true, cfg.Geom), Seed: cfg.Seed}
+	d.baseReg, d.baseHor = reg, hor
 	return d, nil
 }
-
-// watchCancel translates ctx cancellation into an atomic flag the batch
-// loops can poll without touching the context. The returned stop func
-// must be called to release the watcher goroutine; with no Done channel
-// the flag is a shared never-set atomic and stop is a no-op.
-func watchCancel(ctx context.Context) (*atomic.Bool, func()) {
-	done := ctx.Done()
-	if done == nil {
-		return &neverCancelled, func() {}
-	}
-	var flag atomic.Bool
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			flag.Store(true)
-		case <-stop:
-		}
-	}()
-	return &flag, func() { close(stop) }
-}
-
-var neverCancelled atomic.Bool
 
 // Base returns the base-technology population pair the builder was
 // constructed from.
@@ -149,49 +99,45 @@ func (d *DeltaBuilder) Parts(tech circuit.Tech) sram.TechParts {
 
 // BuildPair evaluates the retained chip draws under tech, reusing
 // everything the technology diff against the base does not touch. The
-// result is bit-identical to BuildPopulationPair of the builder's
-// configuration with Tech set to tech.
-func (d *DeltaBuilder) BuildPair(tech circuit.Tech) (regular, horizontal *Population) {
-	regular, horizontal, _ = d.BuildPairCtx(context.Background(), tech)
-	return regular, horizontal
+// result is bit-identical to a pair Build of the builder's
+// configuration with Tech set to tech. Cancellation is polled once per
+// batch like NewDeltaBuilder; on cancellation BuildPair returns
+// ctx.Err() and nil populations, and the builder stays valid for
+// further calls.
+func (d *DeltaBuilder) BuildPair(ctx context.Context, tech circuit.Tech) (regular, horizontal *Population, err error) {
+	parts := sram.DiffTech(d.baseTech, tech)
+	var baseV [sram.BatchWidth]*sram.CacheMeasurement
+	return d.build(ctx, tech, func(ev *sram.Evaluator, k, lo int, regV, horV []*sram.CacheMeasurement) {
+		for j := range regV {
+			baseV[j] = &d.baseReg.Chips[lo+j].Meas
+		}
+		ev.EvalPairDelta(d.draws[k], parts, baseV[:len(regV)], d.leaks[k], regV, horV)
+	})
 }
 
-// BuildPairCtx is BuildPair with cancellation, polled once per batch
-// like NewDeltaBuilderCtx. On cancellation it returns ctx.Err() and nil
-// populations; the builder itself stays valid for further calls.
-func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (regular, horizontal *Population, err error) {
-	parts := sram.DiffTech(d.baseTech, tech)
+// build measures a fresh pair of chip arenas at tech: eval fills batch
+// k, the chips from lo on, in chip order. Cancellation is polled
+// between batches.
+func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech,
+	eval func(ev *sram.Evaluator, k, lo int, regV, horV []*sram.CacheMeasurement)) (regular, horizontal *Population, err error) {
 	regModel := newModelWithGeom(tech, false, &d.geom)
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
 	regChips := newChipArena(d.cfg.N, d.geom, cancelled)
 	horChips := newChipArena(d.cfg.N, d.geom, cancelled)
-
-	if !parts.Any() {
-		for i := range regChips {
-			if i&4095 == 0 && cancelled.Load() {
-				return nil, nil, ctx.Err()
-			}
-			copyMeasInto(&regChips[i].Meas, &d.baseReg.Chips[i].Meas)
-			copyMeasInto(&horChips[i].Meas, &d.baseHor.Chips[i].Meas)
+	ev := regModel.NewEvaluator(d.sampler.NewScratch())
+	defer ev.Release()
+	var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
+	for k, lo := 0, 0; lo < d.cfg.N; k, lo = k+1, lo+sram.BatchWidth {
+		if cancelled.Load() {
+			return nil, nil, ctx.Err()
 		}
-	} else {
-		ev := regModel.NewEvaluator(d.sampler.NewScratch())
-		defer ev.Release()
-		var regV, horV, baseV [sram.BatchWidth]*sram.CacheMeasurement
-		for k, ds := range d.draws {
-			if cancelled.Load() {
-				return nil, nil, ctx.Err()
-			}
-			lo := k * sram.BatchWidth
-			bn := ds.Len()
-			for j := 0; j < bn; j++ {
-				regV[j] = &regChips[lo+j].Meas
-				horV[j] = &horChips[lo+j].Meas
-				baseV[j] = &d.baseReg.Chips[lo+j].Meas
-			}
-			ev.EvalPairDelta(ds, parts, baseV[:bn], d.leaks[k], regV[:bn], horV[:bn])
+		bn := min(sram.BatchWidth, d.cfg.N-lo)
+		for j := 0; j < bn; j++ {
+			regV[j] = &regChips[lo+j].Meas
+			horV[j] = &horChips[lo+j].Meas
 		}
+		eval(ev, k, lo, regV[:bn], horV[:bn])
 	}
 	if cancelled.Load() {
 		return nil, nil, ctx.Err()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,12 +27,34 @@ func measIdentical(t *testing.T, label string, a, b *Population) {
 	}
 }
 
+// mustDelta is NewDeltaBuilder under a background context, failing the
+// test on error.
+func mustDelta(t *testing.T, cfg PopulationConfig) *DeltaBuilder {
+	t.Helper()
+	d, err := NewDeltaBuilder(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// deltaPair is d.BuildPair under a background context, failing the test
+// on error.
+func deltaPair(t *testing.T, d *DeltaBuilder, tech circuit.Tech) (regular, horizontal *Population) {
+	t.Helper()
+	regular, horizontal, err := d.BuildPair(context.Background(), tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regular, horizontal
+}
+
 // TestDeltaBuilderBaseMatchesFullBuild pins the builder's base pair to
 // the ordinary build path: retaining draws must not perturb results.
 func TestDeltaBuilderBaseMatchesFullBuild(t *testing.T) {
 	cfg := PopulationConfig{N: 37, Seed: 2006}
-	wantReg, wantHor := BuildPopulationPair(cfg)
-	d := NewDeltaBuilder(cfg)
+	wantReg, wantHor := buildPair(t, cfg)
+	d := mustDelta(t, cfg)
 	gotReg, gotHor := d.Base()
 	measIdentical(t, "base regular", gotReg, wantReg)
 	measIdentical(t, "base horizontal", gotHor, wantHor)
@@ -41,11 +64,11 @@ func TestDeltaBuilderBaseMatchesFullBuild(t *testing.T) {
 // criterion: a two-parameter technology grid sweep (cell leakage ×
 // alpha, exercising the leak-rescale path, the delay-only path, their
 // combination and the no-op corner) built through BuildPair must be
-// bit-identical to a full BuildPopulationPair at every grid point.
+// bit-identical to a full pair Build at every grid point.
 func TestDeltaBuilderGridBitIdentical(t *testing.T) {
 	base := circuit.PTM45()
 	cfg := PopulationConfig{N: 2*sram.BatchWidth + 5, Seed: 2006, Tech: &base}
-	d := NewDeltaBuilder(cfg)
+	d := mustDelta(t, cfg)
 
 	leakScale := []float64{1.0, 0.8, 1.25}
 	alphas := []float64{base.Alpha, 1.25, 1.40}
@@ -56,8 +79,8 @@ func TestDeltaBuilderGridBitIdentical(t *testing.T) {
 			tech.Alpha = al
 			full := cfg
 			full.Tech = &tech
-			wantReg, wantHor := BuildPopulationPair(full)
-			gotReg, gotHor := d.BuildPair(tech)
+			wantReg, wantHor := buildPair(t, full)
+			gotReg, gotHor := deltaPair(t, d, tech)
 			label := d.Parts(tech)
 			measIdentical(t, "regular "+labelOf(label), gotReg, wantReg)
 			measIdentical(t, "horizontal "+labelOf(label), gotHor, wantHor)
@@ -86,7 +109,7 @@ func labelOf(p sram.TechParts) string {
 func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 	base := circuit.PTM45()
 	cfg := PopulationConfig{N: sram.BatchWidth + 3, Seed: 2006, Tech: &base}
-	d := NewDeltaBuilder(cfg)
+	d := mustDelta(t, cfg)
 	for _, mut := range []func(*circuit.Tech){
 		func(t *circuit.Tech) { t.SubVtSlope = 0.030 },
 		func(t *circuit.Tech) { t.Vdd = 0.95 },
@@ -96,8 +119,8 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 		mut(&tech)
 		full := cfg
 		full.Tech = &tech
-		wantReg, wantHor := BuildPopulationPair(full)
-		gotReg, gotHor := d.BuildPair(tech)
+		wantReg, wantHor := buildPair(t, full)
+		gotReg, gotHor := deltaPair(t, d, tech)
 		measIdentical(t, "regular "+labelOf(d.Parts(tech)), gotReg, wantReg)
 		measIdentical(t, "horizontal "+labelOf(d.Parts(tech)), gotHor, wantHor)
 	}
@@ -110,10 +133,10 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 // draws). This pins the ragged-final-batch and stripe-assembly logic.
 func TestBuildBatchBoundaries(t *testing.T) {
 	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97} {
-		want := NewDeltaBuilder(PopulationConfig{N: n, Seed: 2006})
+		want := mustDelta(t, PopulationConfig{N: n, Seed: 2006})
 		wantReg, wantHor := want.Base()
 		for _, workers := range []int{1, 3} {
-			reg, hor := BuildPopulationPair(PopulationConfig{N: n, Seed: 2006, Workers: workers})
+			reg, hor := buildPair(t, PopulationConfig{N: n, Seed: 2006, Workers: workers})
 			measIdentical(t, "regular", reg, wantReg)
 			measIdentical(t, "horizontal", hor, wantHor)
 		}
@@ -125,8 +148,8 @@ func TestBuildBatchBoundaries(t *testing.T) {
 // comparing a small build against the prefix of a larger one.
 func TestBuildPrefixPurity(t *testing.T) {
 	const small, large = 17, 64
-	sReg, sHor := BuildPopulationPair(PopulationConfig{N: small, Seed: 2006})
-	lReg, lHor := BuildPopulationPair(PopulationConfig{N: large, Seed: 2006, Workers: 4})
+	sReg, sHor := buildPair(t, PopulationConfig{N: small, Seed: 2006})
+	lReg, lHor := buildPair(t, PopulationConfig{N: large, Seed: 2006, Workers: 4})
 	for i := 0; i < small; i++ {
 		if !reflect.DeepEqual(sReg.Chips[i].Meas, lReg.Chips[i].Meas) {
 			t.Fatalf("regular chip %d differs between N=%d and N=%d builds", i, small, large)

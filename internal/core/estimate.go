@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
 	"yieldcache/internal/obs"
@@ -108,158 +107,41 @@ type YieldEstimate struct {
 	EarlyStop bool
 }
 
-// estimator drives streaming yield estimation for one build. Like the
-// checkpointer it has no goroutine: workers publish their batch
-// frontier with an atomic store, and whichever worker first crosses
-// the interval deadline CAS-elects itself to compute and publish a
-// snapshot. The snapshot is a sequential scan of the consistent prefix
-// [0, P) — P the min over worker frontiers — rather than a merge of
-// per-worker floating-point partials: per-chip classification needs
-// limits, limits need the whole prefix's moments, and a sequential
-// scan in chip order makes every published number a pure function of
-// P. That is what keeps estimates bit-identical across worker counts
-// (the per-worker state that *is* merged lock-free — the frontier min
-// — is an integer, so merge order cannot matter). The scan is O(P)
-// but runs at most once per Interval; at the default 250ms it costs
-// well under a millisecond per publish at paper-scale populations.
-// Arming the estimator costs exactly two allocations per build (this
-// struct, with the snapshot buffer embedded, and the frontier slice).
+// estimator is the publisher's estimate subscriber. Each snapshot is
+// a sequential scan of the consistent prefix [0, P) rather than a merge
+// of per-worker floating-point partials: per-chip classification needs
+// limits, limits need the whole prefix's moments, and a sequential scan
+// in chip order makes every published number a pure function of P.
+// That is what keeps estimates bit-identical across worker counts (the
+// per-worker state that *is* merged lock-free — the frontier min — is
+// an integer, so merge order cannot matter). The scan is O(P) but runs
+// at most once per Interval; at the default 250ms it costs well under a
+// millisecond per publish at paper-scale populations.
 type estimator struct {
+	interval int64 // nanoseconds between snapshots; 0 when not armed
+	last     int   // prefix of the last published snapshot
 	cfg      EstimateConfig
-	frontier []atomic.Int64
-	n        int
-	interval int64        // nanoseconds between publish attempts
-	deadline atomic.Int64 // unix nanos of the next publish attempt
-	electing atomic.Int32 // CAS gate: one publisher at a time
-	stop     atomic.Bool  // precision target met: stop sampling
-	stopAt   atomic.Int64 // decision frontier at the moment stop was set
-	last     int          // prefix of the last published snapshot (publisher-only)
+	stopAt   int // decision frontier at which the stopping rule fired
 	buf      YieldEstimate
 	reg      []Chip
-	scope    *obs.Scope
 }
 
-// newEstimator returns the worker-driven estimator; nil when
-// estimation is disabled for this build (no sink and no precision
-// target).
-func newEstimator(ec *EstimateConfig, base, n, workers int, reg []Chip, scope *obs.Scope) *estimator {
-	if ec == nil || (ec.Sink == nil && ec.TargetCIWidth <= 0) {
-		return nil
-	}
-	e := &estimator{
-		cfg:      *ec,
-		frontier: make([]atomic.Int64, workers),
-		n:        n,
-		reg:      reg,
-		scope:    scope,
-	}
-	e.cfg.fill()
-	e.interval = int64(e.cfg.Interval)
-	for w := range e.frontier {
-		e.frontier[w].Store(int64(base + w))
-	}
-	e.deadline.Store(time.Now().UnixNano() + e.interval)
-	return e
-}
-
-// min returns the consistent frontier: every chip below it is measured.
-func (e *estimator) min() int {
-	p := int64(e.n)
-	for w := range e.frontier {
-		if f := e.frontier[w].Load(); f < p {
-			p = f
-		}
-	}
-	return int(p)
-}
-
-// stopped reports whether the precision target has fired; workers poll
-// it at batch boundaries alongside the cancellation flag. Nil-safe:
-// the disabled path pays one nil check.
-func (e *estimator) stopped() bool {
-	return e != nil && e.stop.Load()
-}
-
-// stopPrefix returns the batch-aligned frontier at which the stopping
-// rule fired, or 0 when the build ran to completion. Nil-safe.
-func (e *estimator) stopPrefix() int {
-	if e == nil {
-		return 0
-	}
-	return int(e.stopAt.Load())
-}
-
-// advance publishes that worker w has finished its stripe up to and
-// including chip i, and publishes a snapshot if the interval deadline
-// has passed and no other worker is already publishing — the same
-// election discipline as checkpointer.advance. Nil-safe; the
-// off-deadline fast path is one atomic store plus one clock read and
-// one atomic load.
-func (e *estimator) advance(w, i, workers int) {
-	if e == nil {
-		return
-	}
-	e.frontier[w].Store(int64(i + workers))
-	now := time.Now().UnixNano()
-	if now < e.deadline.Load() {
-		return
-	}
-	if !e.electing.CompareAndSwap(0, 1) {
-		return
-	}
-	if now >= e.deadline.Load() {
-		e.publish()
-		e.deadline.Store(now + e.interval)
-	}
-	e.electing.Store(0)
-}
-
-// publish computes a snapshot over the current consistent prefix and
-// hands it to the Sink, then evaluates the stopping rule. Caller holds
-// the electing gate, so buf and last are effectively single-threaded.
-func (e *estimator) publish() {
-	p := e.min()
-	if p <= e.last || p == 0 {
-		return
-	}
+// publish computes a snapshot over the prefix [0, p), hands it to the
+// Sink and evaluates the stopping rule, reporting whether it fired.
+func (e *estimator) publish(p int, scope *obs.Scope) bool {
 	e.snapshot(p)
 	e.last = p
 	obs.C("core_estimates_published_total").Inc()
-	e.scope.G("job_estimate_chips").Set(float64(p))
+	scope.G("job_estimate_chips").Set(float64(p))
 	if e.cfg.Sink != nil {
 		e.cfg.Sink(&e.buf)
 	}
-	if e.cfg.TargetCIWidth > 0 && p >= e.cfg.MinChips && p < e.n &&
+	if e.cfg.TargetCIWidth > 0 && p >= e.cfg.MinChips && p < len(e.reg) &&
 		e.buf.HalfWidth <= e.cfg.TargetCIWidth {
-		e.stopAt.Store(int64(p))
-		e.stop.Store(true)
+		e.stopAt = p
+		return true
 	}
-}
-
-// finalize publishes the terminal snapshot over the finished
-// population (truncated to the decision frontier when the stopping
-// rule fired). It runs after the workers have joined, so there is no
-// election to take. Nil-safe.
-func (e *estimator) finalize(p int, early bool) {
-	if e == nil || p == 0 {
-		return
-	}
-	e.snapshot(p)
-	e.buf.EarlyStop = early
-	if e.cfg.Sink != nil {
-		e.cfg.Sink(&e.buf)
-	}
-}
-
-// final returns a detached copy of the last snapshot, for entry points
-// that hand the caller the end-of-build estimate. Nil-safe (nil when
-// estimation is disabled or nothing was measured).
-func (e *estimator) final() *YieldEstimate {
-	if e == nil || e.buf.Chips == 0 {
-		return nil
-	}
-	f := e.buf
-	return &f
+	return false
 }
 
 // snapshot fills the reusable buffer with the estimate over the
@@ -303,7 +185,7 @@ func (e *estimator) snapshot(p int) {
 
 	b := &e.buf
 	b.Chips = p
-	b.Total = e.n
+	b.Total = len(e.reg)
 	b.Confidence = e.cfg.Confidence
 	b.Yield = pass.Rate()
 	b.Lost = pass.N - pass.K

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -30,11 +29,11 @@ func armedConfig(n int, workers int, sink func(*YieldEstimate)) PopulationConfig
 func TestEstimateWorkerCountIndependent(t *testing.T) {
 	var ref *YieldEstimate
 	for _, workers := range []int{1, 2, 3, 7, 8} {
-		_, _, est, err := BuildPopulationPairEstimate(
-			context.Background(), armedConfig(240, workers, nil))
+		res, err := Build(context.Background(), armedConfig(240, workers, nil))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		est := res.Estimate
 		if est == nil {
 			t.Fatalf("workers=%d: nil final estimate", workers)
 		}
@@ -56,11 +55,8 @@ func TestEstimateWorkerCountIndependent(t *testing.T) {
 // full population equal DeriveLimits bit for bit, and the loss tallies
 // equal BreakdownLosses' base column.
 func TestEstimateFinalMatchesTables(t *testing.T) {
-	reg, _, est, err := BuildPopulationPairEstimate(
-		context.Background(), armedConfig(200, 4, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, armedConfig(200, 4, nil))
+	reg, est := res.Regular, res.Estimate
 	cons := Nominal()
 	lim := DeriveLimits(reg, cons)
 	if est.Limits != lim {
@@ -91,13 +87,11 @@ func TestEstimateFinalMatchesTables(t *testing.T) {
 // criterion: arming estimation (without a precision target) changes
 // nothing about the built populations or the tables derived from them.
 func TestEstimateGoldenUnaffected(t *testing.T) {
-	plainReg, plainHor := BuildPopulationPair(PopulationConfig{N: 200, Seed: 2006})
+	plainReg, plainHor := buildPair(t, PopulationConfig{N: 200, Seed: 2006})
 	snapshots := 0
 	armed := armedConfig(200, 0, func(*YieldEstimate) { snapshots++ })
-	reg, hor, est, err := BuildPopulationPairEstimate(context.Background(), armed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, armed)
+	reg, hor, est := res.Regular, res.Horizontal, res.Estimate
 	if snapshots == 0 || est == nil {
 		t.Fatalf("estimation did not publish (snapshots=%d)", snapshots)
 	}
@@ -133,10 +127,8 @@ func TestEstimateEarlyStop(t *testing.T) {
 	const n = 4000
 	cfg := armedConfig(n, 0, nil)
 	cfg.Estimate.TargetCIWidth = 0.05
-	reg, hor, est, err := BuildPopulationPairEstimate(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, cfg)
+	reg, hor, est := res.Regular, res.Horizontal, res.Estimate
 	if est == nil || !est.EarlyStop {
 		t.Fatalf("expected early stop, got %+v", est)
 	}
@@ -159,7 +151,7 @@ func TestEstimateEarlyStop(t *testing.T) {
 	}
 	// Chip i is a pure function of (Seed, i): the truncated prefix must
 	// match an untruncated build chip for chip.
-	full, _ := BuildPopulationPair(PopulationConfig{N: n, Seed: 2006})
+	full, _ := buildPair(t, PopulationConfig{N: n, Seed: 2006})
 	for i := range reg.Chips {
 		if reg.Chips[i].Meas.LatencyPS != full.Chips[i].Meas.LatencyPS {
 			t.Fatalf("truncated chip %d differs from full build", i)
@@ -168,43 +160,14 @@ func TestEstimateEarlyStop(t *testing.T) {
 }
 
 // TestEstimateDisabled checks the off path: no sink and no target
-// means no estimator, and the entry point reports a nil estimate.
+// means no estimator, and Build reports a nil estimate.
 func TestEstimateDisabled(t *testing.T) {
-	reg, _, est, err := BuildPopulationPairEstimate(context.Background(),
-		PopulationConfig{N: 64, Seed: 9, Estimate: &EstimateConfig{Constraints: Nominal()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, PopulationConfig{N: 64, Seed: 9, Estimate: &EstimateConfig{Constraints: Nominal()}})
+	reg, est := res.Regular, res.Estimate
 	if est != nil {
 		t.Errorf("estimate without sink or target should be nil, got %+v", est)
 	}
 	if len(reg.Chips) != 64 {
 		t.Errorf("population truncated without a target: %d chips", len(reg.Chips))
-	}
-}
-
-// TestEstimateAllocBudget pins the arming cost next to the
-// checkpointer's: at most 2 extra allocations per build (the estimator
-// struct with its embedded snapshot buffer, and the frontier slice).
-func TestEstimateAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	cfg := PopulationConfig{N: 200, Seed: 1, Workers: 1}
-	BuildPopulationPair(cfg)
-	plain := testing.AllocsPerRun(10, func() { BuildPopulationPair(cfg) })
-
-	armed := cfg
-	armed.Estimate = &EstimateConfig{
-		Interval:    time.Millisecond,
-		Constraints: Nominal(),
-		Sink:        func(*YieldEstimate) {},
-	}
-	BuildPopulationPair(armed)
-	withEst := testing.AllocsPerRun(10, func() { BuildPopulationPair(armed) })
-	if withEst > plain+2 {
-		t.Errorf("estimating pair build allocates %.1f times per run, plain is %.1f: estimation may add at most 2",
-			withEst, plain)
 	}
 }

@@ -58,8 +58,13 @@ func readFramed(r io.Reader, magic, kind string) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[6:])
 	sum := binary.LittleEndian.Uint32(hdr[10:])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The length is untrusted: read through a bounded reader so a short
+	// file costs what it holds, not what its header claims.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(payload) != int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: %s file truncated: %d-byte payload unreadable: %w", kind, n, err)
 	}
 	if got := crc32.Checksum(payload, persistCRC); got != sum {
@@ -111,6 +116,11 @@ func ReadPopulation(r io.Reader) (*Population, error) {
 	if len(f.Chips) == 0 {
 		return nil, fmt.Errorf("core: population file holds no chips")
 	}
+	for i := range f.Chips {
+		if !shaped(&f.Chips[i].Meas, f.Geom) {
+			return nil, fmt.Errorf("core: population file inconsistent: chip %d does not have geometry %+v", i, f.Geom)
+		}
+	}
 	model := &sram.Model{Tech: f.Tech, Geom: f.Geom, HYAPD: f.HYAPD}
 	return &Population{Chips: f.Chips, Model: model, Seed: f.Seed}, nil
 }
@@ -157,9 +167,8 @@ func DecodeBuildCheckpoint(r io.Reader) (*BuildCheckpoint, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
-	if c.Done < 0 || c.Done > c.N || len(c.Regular) != c.Done || (c.Pair && len(c.Horizontal) != c.Done) {
-		return nil, fmt.Errorf("core: checkpoint inconsistent: done=%d n=%d regular=%d horizontal=%d",
-			c.Done, c.N, len(c.Regular), len(c.Horizontal))
+	if err := c.validate(); err != nil {
+		return nil, err
 	}
 	return &c, nil
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestPopulationRoundTrip(t *testing.T) {
-	orig := BuildPopulation(PopulationConfig{N: 50, Seed: 11, HYAPD: true})
+	orig := mustBuild(t, PopulationConfig{N: 50, Seed: 11, Org: OrgHYAPD}).Horizontal
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -48,7 +50,7 @@ func TestReadPopulationErrors(t *testing.T) {
 // Every way a snapshot can be damaged must fail with an error that
 // names the problem, before gob ever touches the bytes.
 func TestReadPopulationDescriptiveErrors(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 10, Seed: 5})
+	pop := mustBuild(t, PopulationConfig{N: 10, Seed: 5, Org: OrgRegular}).Regular
 	var buf bytes.Buffer
 	if err := pop.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -81,4 +83,23 @@ func TestReadPopulationDescriptiveErrors(t *testing.T) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x40
 	check("payload bit flip", flipped, "checksum")
+}
+
+// A header may claim a payload of up to 4 GiB; a short file must fail
+// having allocated about what it holds, not what its header claims.
+func TestReadFramedBoundsAllocation(t *testing.T) {
+	data := make([]byte, 14+100)
+	copy(data, populationMagic)
+	data[5] = persistVersion
+	binary.LittleEndian.PutUint32(data[6:], 0xFFFFFFF0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadPopulation(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("short payload: err = %v, want truncation", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("reading a 114-byte file allocated %d bytes", grew)
+	}
 }

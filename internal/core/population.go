@@ -39,12 +39,27 @@ type Population struct {
 	leakAvg float64
 }
 
-// PopulationConfig parameterises BuildPopulation.
+// Organisation selects the cache organisation(s) a build measures.
+type Organisation uint8
+
+const (
+	// OrgPair measures the regular and the H-YAPD organisation from one
+	// set of variation draws — the paper's "same process variation
+	// parameters" (Section 5.1) by construction, at one sampling cost.
+	// It is the zero value.
+	OrgPair Organisation = iota
+	// OrgRegular measures the regular organisation only.
+	OrgRegular
+	// OrgHYAPD measures the H-YAPD organisation only.
+	OrgHYAPD
+)
+
+// PopulationConfig parameterises Build.
 type PopulationConfig struct {
-	N       int   // number of chips; 0 means PaperPopulationSize
-	Seed    int64 // master seed of the variation sampler
-	HYAPD   bool  // evaluate the H-YAPD cache organisation
-	Workers int   // parallel evaluation workers; 0 means GOMAXPROCS
+	N       int          // number of chips; 0 means PaperPopulationSize
+	Seed    int64        // master seed of the variation sampler
+	Org     Organisation // organisation(s) to measure; zero is OrgPair
+	Workers int          // parallel evaluation workers; 0 means GOMAXPROCS
 	Tech    *circuit.Tech
 	Spec    *variation.Spec
 	Fact    *variation.Factors
@@ -86,78 +101,47 @@ func (c *PopulationConfig) fill() {
 	}
 }
 
-// BuildPopulation samples and evaluates a chip population. Chip i is a
-// pure function of (Seed, i), so the regular and H-YAPD organisations
-// built from the same seed see identical process variation draws — the
-// paper's "we have applied the same process variation parameters used in
-// the previous simulations". Evaluation is parallelised across CPUs;
-// the result is independent of the worker count.
-func BuildPopulation(cfg PopulationConfig) *Population {
-	reg, _, _, _ := buildPopulations(context.Background(), cfg, false)
-	return reg
-}
-
-// BuildPopulationCtx is BuildPopulation with cancellation: the build
-// stops early (returning ctx.Err()) when ctx is cancelled or its
-// deadline passes. Long-running callers — the yieldd request path in
-// particular — use it to bound the Monte Carlo by a request timeout.
-func BuildPopulationCtx(ctx context.Context, cfg PopulationConfig) (*Population, error) {
-	reg, _, _, err := buildPopulations(ctx, cfg, false)
-	return reg, err
-}
-
-// BuildPopulationPair samples every chip's variation tree once and
-// measures both cache organisations from the same draws, returning the
-// regular and H-YAPD populations. cfg.HYAPD is ignored. The pair is
-// bit-identical to two BuildPopulation calls with the same seed, but
-// the "same process variation parameters" guarantee holds by
-// construction — and the sampling cost is paid once instead of twice.
-func BuildPopulationPair(cfg PopulationConfig) (regular, horizontal *Population) {
-	regular, horizontal, _, _ = buildPopulations(context.Background(), cfg, true)
-	return regular, horizontal
-}
-
-// BuildPopulationPairCtx is BuildPopulationPair with cancellation,
-// mirroring BuildPopulationCtx.
-func BuildPopulationPairCtx(ctx context.Context, cfg PopulationConfig) (regular, horizontal *Population, err error) {
-	regular, horizontal, _, err = buildPopulations(ctx, cfg, true)
-	return regular, horizontal, err
-}
-
-// BuildPopulationPairEstimate is BuildPopulationPairCtx returning the
-// final streaming yield estimate alongside the populations. The
-// estimate is nil unless cfg.Estimate armed estimation; when its
-// EarlyStop field is set, the returned populations are truncated to
+// BuildResult is what Build returns. Regular holds the regular
+// organisation's population and Horizontal the H-YAPD one; the
+// organisation a build did not measure is nil. Estimate is the final
+// streaming yield estimate, nil unless cfg.Estimate armed estimation.
+// When its EarlyStop field is set, the populations are truncated to
 // the (batch-aligned, fully measured) prefix at which the precision
 // target was met, and every chip in them is bit-identical to the same
 // chip of an untruncated build.
-func BuildPopulationPairEstimate(ctx context.Context, cfg PopulationConfig) (regular, horizontal *Population, final *YieldEstimate, err error) {
-	regular, horizontal, est, err := buildPopulations(ctx, cfg, true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return regular, horizontal, est.final(), nil
+type BuildResult struct {
+	Regular    *Population
+	Horizontal *Population
+	Estimate   *YieldEstimate
 }
 
-// buildPopulations is the single-pass Monte Carlo engine behind all
-// entry points. Each worker owns a variation scratch, a measurement
-// evaluator and a stripe of the chip arena, evaluated through the
-// structure-of-arrays batch kernel sram.BatchWidth chips at a time, so
-// the hot loop performs no heap allocation: way/bank/path measurement
-// storage comes from flat arrays sliced up front and draw/factor
-// columns live in the evaluator. Cancellation is polled once per batch
-// — an atomic flag set by a watcher goroutine, so the hot loop never
-// touches the context directly. When ctx carries an obs.Scope (the
-// yieldd per-job path), spans land on the scope's tracer instead of the
-// global one and the scope's progress counter advances once per batch
-// at the same poll point, so a running job can report live chips-done
-// counts at no extra hot-loop cost beyond one atomic add.
-func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Population, *Population, *estimator, error) {
+// Build samples and evaluates a chip population on the organisation(s)
+// cfg.Org selects. Chip i is a pure function of (Seed, i), so every
+// organisation built from the same seed sees identical process
+// variation draws — the paper's "we have applied the same process
+// variation parameters used in the previous simulations" — and the
+// result is independent of the worker count, the batch packing and any
+// resume point. The build stops early, returning ctx.Err(), when ctx
+// is cancelled or its deadline passes.
+//
+// Each worker owns a variation scratch, a measurement evaluator and a
+// stripe of the chip arena, evaluated through the structure-of-arrays
+// batch kernel sram.BatchWidth chips at a time, so the hot loop
+// performs no heap allocation: way/bank/path measurement storage comes
+// from flat arrays sliced up front and draw/factor columns live in the
+// evaluator. Cancellation is polled once per batch through an atomic
+// flag (watchCancel). After each batch the worker makes one call into
+// the build's prefix-frontier publisher, which advances the obs.Scope
+// progress counter (the yieldd per-job path; spans land on the scope's
+// tracer too) and feeds the checkpoint and estimate subscribers when
+// they are armed.
+func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	cfg.fill()
+	pair := cfg.Org == OrgPair
 	spanName := "build_population"
 	if pair {
 		spanName = "build_population/pair"
-	} else if cfg.HYAPD {
+	} else if cfg.Org == OrgHYAPD {
 		spanName = "build_population/hyapd"
 	}
 	scope := obs.ScopeFrom(ctx)
@@ -166,37 +150,25 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	defer sp.End()
 	begin := time.Now()
 
-	regModel := newModelWithGeom(*cfg.Tech, cfg.HYAPD && !pair, cfg.Geom)
+	model := newModelWithGeom(*cfg.Tech, cfg.Org == OrgHYAPD, cfg.Geom)
 	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
-	geom := regModel.Geom
+	geom := model.Geom
 
-	// Cancellation: the workers poll one shared atomic per chip instead
-	// of selecting on ctx.Done() in the hot loop. Started before the
-	// arenas so that their setup loops (millions of slice-header writes
-	// for large N) can poll it too.
-	var cancelled atomic.Bool
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				cancelled.Store(true)
-			case <-stop:
-			}
-		}()
-	}
+	// Started before the arenas so that their setup loops (millions of
+	// slice-header writes for large N) can poll it too.
+	cancelled, stopWatch := watchCancel(ctx)
+	defer stopWatch()
 
-	regChips := newChipArena(cfg.N, geom, &cancelled)
+	chips := newChipArena(cfg.N, geom, cancelled)
 	var horChips []Chip
 	var horModel *sram.Model
 	if pair {
 		horModel = newModelWithGeom(*cfg.Tech, true, cfg.Geom)
-		horChips = newChipArena(cfg.N, geom, &cancelled)
+		horChips = newChipArena(cfg.N, geom, cancelled)
 	}
 	if cancelled.Load() {
 		obs.C("core_population_builds_cancelled_total").Inc()
-		return nil, nil, nil, ctx.Err()
+		return BuildResult{}, ctx.Err()
 	}
 
 	// Resume: seed the arena with a checkpointed prefix. Chip i is a
@@ -206,12 +178,12 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	if cfg.Checkpoint != nil && cfg.Checkpoint.Resume != nil {
 		r := cfg.Checkpoint.Resume
 		if err := validateResume(r, &cfg, pair, geom); err != nil {
-			return nil, nil, nil, err
+			return BuildResult{}, err
 		}
 		for i := 0; i < r.Done; i++ {
-			copyMeasInto(&regChips[i].Meas, &r.Regular[i].Meas)
+			chips[i].Meas.CopyFrom(&r.Regular[i].Meas)
 			if pair {
-				copyMeasInto(&horChips[i].Meas, &r.Horizontal[i].Meas)
+				horChips[i].Meas.CopyFrom(&r.Horizontal[i].Meas)
 			}
 		}
 		base = r.Done
@@ -220,8 +192,7 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	}
 
 	workers := cfg.Workers
-	ckp := newCheckpointer(cfg.Checkpoint, base, cfg.N, workers, pair, &cfg, geom, regChips, horChips, scope)
-	est := newEstimator(cfg.Estimate, base, cfg.N, workers, regChips, scope)
+	pub := newPublisher(&cfg, base, pair, geom, chips, horChips)
 	workerSec := obs.H("core_population_worker_seconds", obs.ExpBuckets(1e-4, 4, 10))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -230,25 +201,25 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 			defer wg.Done()
 			ws := sp.Worker("measure_chips", start)
 			t0 := time.Now()
-			ev := regModel.NewEvaluator(sampler.NewScratch())
+			ev := model.NewEvaluator(sampler.NewScratch())
 			defer ev.Release()
 			// The worker walks its stripe (start, start+W, …) in batches
 			// of up to sram.BatchWidth chips through the SoA kernel.
 			// Chip values are a pure function of (Seed, id), so the
 			// batching — like the striping — cannot change any result.
-			// Cancellation is polled and the checkpoint frontier is
-			// published at batch boundaries only, keeping the frontier
-			// batch-aligned: a checkpointed prefix never splits a batch.
+			// Cancellation is polled and the frontier is published at
+			// batch boundaries only, keeping the frontier batch-aligned:
+			// a published prefix never splits a batch.
 			var ids [sram.BatchWidth]int
 			var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
 			for i := start; i < cfg.N; {
-				if cancelled.Load() || est.stopped() {
+				if cancelled.Load() || pub.stopped() {
 					break
 				}
 				bn, last := 0, i
 				for ; bn < sram.BatchWidth && i < cfg.N; i += workers {
 					ids[bn] = i
-					regV[bn] = &regChips[i].Meas
+					regV[bn] = &chips[i].Meas
 					if pair {
 						horV[bn] = &horChips[i].Meas
 					}
@@ -260,21 +231,16 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 				} else {
 					ev.MeasureBatch(ids[:bn], regV[:bn])
 				}
-				scope.AddProgress(int64(bn))
-				if ckp != nil {
-					ckp.advance(w, last, workers)
-				}
-				est.advance(w, last, workers)
+				pub.advance(scope, w, last, bn)
 			}
 			workerSec.Observe(time.Since(t0).Seconds())
 			ws.End()
 		}(w, base+w)
 	}
 	wg.Wait()
-	ckp.close()
 	if err := ctx.Err(); err != nil {
 		obs.C("core_population_builds_cancelled_total").Inc()
-		return nil, nil, nil, err
+		return BuildResult{}, err
 	}
 
 	// Precision-targeted stop: truncate to the exact batch-aligned
@@ -286,19 +252,16 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	// are discarded, keeping the result a pure function of the decision
 	// frontier rather than of scheduling luck. The truncation happens
 	// at the Population literals below rather than by reassigning
-	// regChips/horChips — a reassignment after the workers captured the
+	// chips/horChips — a reassignment after the workers captured the
 	// slices would force their headers onto the heap and cost the
 	// disabled path an allocation.
-	built := cfg.N
-	early := false
-	if p := est.stopPrefix(); p > 0 {
-		built = p
-		early = true
+	built, est := pub.finish(cfg.N)
+	if built < cfg.N {
 		done, _ := scope.Progress()
 		scope.SetProgressTotal(done)
 		obs.C("core_builds_early_stopped_total").Inc()
 	}
-	est.finalize(built, early)
+	res := BuildResult{Estimate: est}
 
 	measured := built
 	if pair {
@@ -313,12 +276,49 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	}
 	scope.C("job_chips_built_total").Add(int64(measured))
 	scope.G("job_build_seconds").Set(elapsed)
-	reg := &Population{Chips: regChips[:built], Model: regModel, Seed: cfg.Seed}
-	if !pair {
-		return reg, nil, est, nil
+	pop := &Population{Chips: chips[:built], Model: model, Seed: cfg.Seed}
+	switch cfg.Org {
+	case OrgPair:
+		res.Regular = pop
+		res.Horizontal = &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed}
+	case OrgHYAPD:
+		res.Horizontal = pop
+	default:
+		res.Regular = pop
 	}
-	return reg, &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed}, est, nil
+	return res, nil
 }
+
+// BuildPopulationPair is Build of the pair organisation without
+// cancellation, kept for callers that predate Build.
+func BuildPopulationPair(cfg PopulationConfig) (regular, horizontal *Population) {
+	cfg.Org = OrgPair
+	res, _ := Build(context.Background(), cfg)
+	return res.Regular, res.Horizontal
+}
+
+// watchCancel translates ctx cancellation into an atomic flag the batch
+// loops can poll without touching the context. The returned stop func
+// must be called to release the watcher goroutine; with no Done channel
+// the flag is a shared never-set atomic and stop is a no-op.
+func watchCancel(ctx context.Context) (*atomic.Bool, func()) {
+	done := ctx.Done()
+	if done == nil {
+		return &neverCancelled, func() {}
+	}
+	var flag atomic.Bool
+	stop := make(chan struct{})
+	go func() {
+		select {
+		case <-done:
+			flag.Store(true)
+		case <-stop:
+		}
+	}()
+	return &flag, func() { close(stop) }
+}
+
+var neverCancelled atomic.Bool
 
 // newModelWithGeom builds an sram.Model and, when g is non-nil,
 // replaces the default paper geometry. The measurement kernel is fully
@@ -337,7 +337,7 @@ func newModelWithGeom(tech circuit.Tech, hyapd bool, g *sram.Geometry) *sram.Mod
 // happens in practice) from bleeding into its neighbour. The setup loop
 // polls cancelled periodically and returns the partially wired arena —
 // the caller checks cancellation itself before using it.
-func newChipArena(n int, g Geometry, cancelled *atomic.Bool) []Chip {
+func newChipArena(n int, g sram.Geometry, cancelled *atomic.Bool) []Chip {
 	chips := make([]Chip, n)
 	ways := make([]sram.WayMeasurement, n*g.Ways)
 	banks := make([]sram.BankMeasurement, n*g.Ways*g.BanksPerWay)
@@ -359,9 +359,6 @@ func newChipArena(n int, g Geometry, cancelled *atomic.Bool) []Chip {
 	}
 	return chips
 }
-
-// Geometry is re-exported for arena sizing.
-type Geometry = sram.Geometry
 
 // columns computes the latency and leakage columns once. Populations
 // read from persisted files (or built by literal construction in tests)

@@ -39,6 +39,25 @@ const (
 	goldenLimLeak    = 0x1.6a9381c2291b8p-03
 )
 
+// mustBuild is Build under a background context, failing the test on
+// error.
+func mustBuild(t testing.TB, cfg PopulationConfig) BuildResult {
+	t.Helper()
+	res, err := Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// buildPair is mustBuild of the pair organisation.
+func buildPair(t testing.TB, cfg PopulationConfig) (regular, horizontal *Population) {
+	t.Helper()
+	cfg.Org = OrgPair
+	res := mustBuild(t, cfg)
+	return res.Regular, res.Horizontal
+}
+
 func hexEq(t *testing.T, what string, got, want float64) {
 	t.Helper()
 	if got != want {
@@ -51,7 +70,7 @@ func hexEq(t *testing.T, what string, got, want float64) {
 // loss breakdown must all match the values the old double-build path
 // produced for seed 2006.
 func TestGoldenSeed2006(t *testing.T) {
-	reg, hor := BuildPopulationPair(PopulationConfig{N: 200, Seed: 2006})
+	reg, hor := buildPair(t, PopulationConfig{N: 200, Seed: 2006})
 	for _, g := range golden2006 {
 		hexEq(t, "reg lat", reg.Chips[g.id].Meas.LatencyPS, g.regLat)
 		hexEq(t, "reg leak", reg.Chips[g.id].Meas.LeakageW, g.regLeak)
@@ -86,9 +105,9 @@ func TestGoldenSeed2006(t *testing.T) {
 // organisations.
 func TestPairMatchesDoubleBuild(t *testing.T) {
 	cfg := PopulationConfig{N: 64, Seed: 41}
-	reg, hor := BuildPopulationPair(cfg)
-	wantReg := BuildPopulation(PopulationConfig{N: 64, Seed: 41})
-	wantHor := BuildPopulation(PopulationConfig{N: 64, Seed: 41, HYAPD: true})
+	reg, hor := buildPair(t, cfg)
+	wantReg := mustBuild(t, PopulationConfig{N: 64, Seed: 41, Org: OrgRegular}).Regular
+	wantHor := mustBuild(t, PopulationConfig{N: 64, Seed: 41, Org: OrgHYAPD}).Horizontal
 	if !reflect.DeepEqual(reg.Chips, wantReg.Chips) {
 		t.Fatal("pair regular population diverges from single build")
 	}
@@ -104,35 +123,35 @@ func TestPairMatchesDoubleBuild(t *testing.T) {
 // a serial build and a wide build produce identical chips, because chip
 // i is a pure function of (seed, i) regardless of which worker draws it.
 func TestWorkerCountIndependence(t *testing.T) {
-	serial := BuildPopulation(PopulationConfig{N: 50, Seed: 2006, Workers: 1})
-	wide := BuildPopulation(PopulationConfig{N: 50, Seed: 2006, Workers: 8})
+	serial := mustBuild(t, PopulationConfig{N: 50, Seed: 2006, Workers: 1, Org: OrgRegular}).Regular
+	wide := mustBuild(t, PopulationConfig{N: 50, Seed: 2006, Workers: 8, Org: OrgRegular}).Regular
 	if !reflect.DeepEqual(serial.Chips, wide.Chips) {
 		t.Fatal("population depends on worker count")
 	}
-	sp, wp := BuildPopulationPair(PopulationConfig{N: 50, Seed: 2006, Workers: 1})
-	s8, w8 := BuildPopulationPair(PopulationConfig{N: 50, Seed: 2006, Workers: 8})
+	sp, wp := buildPair(t, PopulationConfig{N: 50, Seed: 2006, Workers: 1})
+	s8, w8 := buildPair(t, PopulationConfig{N: 50, Seed: 2006, Workers: 8})
 	if !reflect.DeepEqual(sp.Chips, s8.Chips) || !reflect.DeepEqual(wp.Chips, w8.Chips) {
 		t.Fatal("pair population depends on worker count")
 	}
 }
 
-// TestBuildPopulationCtxCancellation checks that the ctx-aware builders
-// abort early: a cancelled context returns its error without building,
-// and an expiring deadline stops a large build well before completion.
+// TestBuildPopulationCtxCancellation checks that Build aborts early in
+// every organisation: a cancelled context returns its error without
+// building, and an expiring deadline stops a large build well before
+// completion.
 func TestBuildPopulationCtxCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildPopulationCtx(cancelled, PopulationConfig{N: 10, Seed: 1}); err != context.Canceled {
-		t.Errorf("BuildPopulationCtx on cancelled ctx = %v, want context.Canceled", err)
-	}
-	if _, _, err := BuildPopulationPairCtx(cancelled, PopulationConfig{N: 10, Seed: 1}); err != context.Canceled {
-		t.Errorf("BuildPopulationPairCtx on cancelled ctx = %v, want context.Canceled", err)
+	for _, org := range []Organisation{OrgPair, OrgRegular, OrgHYAPD} {
+		if _, err := Build(cancelled, PopulationConfig{N: 10, Seed: 1, Org: org}); err != context.Canceled {
+			t.Errorf("Build(org %d) on cancelled ctx = %v, want context.Canceled", org, err)
+		}
 	}
 
 	ctx, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	t0 := time.Now()
-	_, _, err := BuildPopulationPairCtx(ctx, PopulationConfig{N: 200_000, Seed: 1})
+	_, err := Build(ctx, PopulationConfig{N: 200_000, Seed: 1})
 	if err != context.DeadlineExceeded {
 		t.Errorf("deadline build = %v, want context.DeadlineExceeded", err)
 	}
@@ -142,16 +161,16 @@ func TestBuildPopulationCtxCancellation(t *testing.T) {
 		t.Errorf("cancelled build took %s", elapsed)
 	}
 
-	// The background-context paths are unaffected.
-	if p := BuildPopulation(PopulationConfig{N: 5, Seed: 1}); len(p.Chips) != 5 {
-		t.Error("BuildPopulation broken after ctx refactor")
+	// The background-context path is unaffected.
+	if p := mustBuild(t, PopulationConfig{N: 5, Seed: 1, Org: OrgRegular}).Regular; len(p.Chips) != 5 {
+		t.Error("background build broken after ctx refactor")
 	}
 }
 
 // TestMemoizedColumns checks the derived columns are computed once,
 // shared between calls, and agree with the chip measurements.
 func TestMemoizedColumns(t *testing.T) {
-	p := BuildPopulation(PopulationConfig{N: 20, Seed: 9})
+	p := mustBuild(t, PopulationConfig{N: 20, Seed: 9, Org: OrgRegular}).Regular
 	lats, leaks := p.Latencies(), p.Leakages()
 	if &lats[0] != &p.Latencies()[0] || &leaks[0] != &p.Leakages()[0] {
 		t.Fatal("columns reallocated on second call")
@@ -204,7 +223,7 @@ func TestBuildProgressMonotonic(t *testing.T) {
 		}
 	}()
 
-	if _, _, err := BuildPopulationPairCtx(ctx, PopulationConfig{N: n, Seed: 7, Workers: 4}); err != nil {
+	if _, err := Build(ctx, PopulationConfig{N: n, Seed: 7, Workers: 4}); err != nil {
 		t.Fatalf("build failed: %v", err)
 	}
 	<-stop
@@ -222,7 +241,7 @@ func TestBuildProgressPartialOnCancel(t *testing.T) {
 	sc := obs.NewScope("test-job", nil)
 	ctx, cancel := context.WithCancel(obs.WithScope(context.Background(), sc))
 	cancel()
-	if _, _, err := BuildPopulationPairCtx(ctx, PopulationConfig{N: 10_000, Seed: 1}); err != context.Canceled {
+	if _, err := Build(ctx, PopulationConfig{N: 10_000, Seed: 1}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if done, total := sc.Progress(); done >= total || total != 10_000 {

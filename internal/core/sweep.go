@@ -291,8 +291,8 @@ func (p *SweepPlan) Stats() SweepStats {
 //     stream out at minimum cost and same-shape deltas run
 //     back-to-back.
 //
-// Every evaluated population is bit-identical to a full
-// BuildPopulationPair at that config (the DeltaBuilder guarantee), so
+// Every evaluated population is bit-identical to a full pair Build at
+// that config (the DeltaBuilder guarantee), so
 // a sweep's numbers never differ from one-off studies of the same
 // seed.
 func PlanSweep(spec SweepSpec) (*SweepPlan, error) {
@@ -531,7 +531,7 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 
 	sp := obs.StartSpanCtx(ctx, "sweep_cluster")
 	defer sp.End()
-	db, err := NewDeltaBuilderCtx(ctx, PopulationConfig{
+	db, err := NewDeltaBuilder(ctx, PopulationConfig{
 		N:    plan.Spec.N,
 		Seed: plan.Spec.Seed,
 		Tech: &cl.Base,
@@ -551,7 +551,7 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 			return err
 		}
 		usp := obs.StartSpanCtx(ctx, "sweep_unit")
-		reg, _, err := db.BuildPairCtx(ctx, u.Tech)
+		reg, _, err := db.BuildPair(ctx, u.Tech)
 		if err != nil {
 			usp.End()
 			return err

@@ -189,7 +189,7 @@ func TestRunSweepBitIdenticalToFullBuilds(t *testing.T) {
 		cfg := ev.Config
 		tech := cfg.Tech
 		geom := cfg.Geometry
-		reg, _ := BuildPopulationPair(PopulationConfig{
+		reg, _ := buildPair(t, PopulationConfig{
 			N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom,
 		})
 		want := evalSweepConfig(cfg, reg, schemes)
@@ -276,7 +276,7 @@ func TestRunSweepGeometryCluster(t *testing.T) {
 		}
 		tech := ev.Config.Tech
 		geom := ev.Config.Geometry
-		reg, _ := BuildPopulationPair(PopulationConfig{N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom})
+		reg, _ := buildPair(t, PopulationConfig{N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom})
 		if len(reg.Chips[0].Meas.Ways) != small.Ways {
 			t.Fatalf("geometry override ignored: %d ways", len(reg.Chips[0].Meas.Ways))
 		}

@@ -9,12 +9,13 @@ import (
 )
 
 // This file is the structure-of-arrays measurement kernel. The scalar
-// path (measure/measureWay in measure.go) walks one chip's variation
-// tree node by node, re-deriving every circuit factor per stage; the
-// batched kernel instead samples the same region node of several chips
-// into flat columns (variation.Batch), derives each circuit factor once
-// per region in straight-line loops over those columns, and assembles
-// the per-path delays and per-bank leakages from the derived columns.
+// reference path (measureRef/measureWay in measure_ref_test.go) walks
+// one chip's variation tree node by node, re-deriving every circuit
+// factor per stage; the batched kernel instead samples the same region
+// node of several chips into flat columns (variation.Batch), derives
+// each circuit factor once per region in straight-line loops over those
+// columns, and assembles the per-path delays and per-bank leakages from
+// the derived columns.
 //
 // Bit-identity argument (the golden seed-2006 tables must not move):
 //   - Every region node's draw stream is self-contained — its seed is
@@ -76,7 +77,7 @@ func (e *Evaluator) Sample(ids []int, ds *DrawSet) {
 }
 
 // sampleRegions draws every region batch below the already-filled chip
-// roots, mirroring the scalar measure/measureWay sampling structure.
+// roots, mirroring the scalar measureRef/measureWay sampling structure.
 func (e *Evaluator) sampleRegions(ds *DrawSet) {
 	g := e.m.Geom
 	sc := e.sc
@@ -645,6 +646,14 @@ func (e *Evaluator) rescaleLeak(ls *LeakState, dst []*CacheMeasurement) {
 			cm.LeakageW += wm.LeakageW
 		}
 	}
+}
+
+// CopyFrom copies every value of src into m, which must have src's
+// shape; m keeps its own nested slices, so a measurement wired to a
+// flat arena stays wired to it.
+func (m *CacheMeasurement) CopyFrom(src *CacheMeasurement) {
+	copyDelayInto(m, src)
+	copyLeakInto(m, src)
 }
 
 // copyDelayInto copies the delay side of a measurement (path delays and

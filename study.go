@@ -150,19 +150,19 @@ func NewStudyCtx(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		}
 		pcfg.Estimate = &ecfg
 	}
-	reg, hor, est, err := core.BuildPopulationPairEstimate(ctx, pcfg)
+	res, err := core.Build(ctx, pcfg)
 	if err != nil {
 		return nil, err
 	}
 	lsp := obs.StartSpanCtx(ctx, "derive_limits")
-	lim := core.DeriveLimits(reg, cons)
+	lim := core.DeriveLimits(res.Regular, cons)
 	lsp.End()
 	return &Study{
-		Regular:    reg,
-		Horizontal: hor,
+		Regular:    res.Regular,
+		Horizontal: res.Horizontal,
 		Cons:       cons,
 		Limits:     lim,
-		Estimate:   est,
+		Estimate:   res.Estimate,
 	}, nil
 }
 
