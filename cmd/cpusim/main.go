@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -79,7 +80,7 @@ func main() {
 		if *detailed {
 			sim = cpu.RunDetailed
 		}
-		sp := obs.StartSpan("bench " + p.Name)
+		_, sp := obs.StartSpan(context.Background(), "bench "+p.Name)
 		r := sim(workload.NewGenerator(p, *seed), *n, cfg)
 		sp.End()
 		missRate := 0.0

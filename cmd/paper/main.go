@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -48,7 +49,7 @@ func main() {
 		if !sel(k) {
 			return
 		}
-		sp := obs.StartSpan(k)
+		_, sp := obs.StartSpan(context.Background(), k)
 		f()
 		sp.End()
 	}

@@ -2,6 +2,7 @@ package yieldcache
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -63,7 +64,7 @@ func TestGoldenSuiteCPI(t *testing.T) {
 	}
 
 	e := NewPerfEvaluator(PerfConfig{Instructions: 20_000, Seed: 1})
-	got := e.suiteCPIs(paperL1DConfigs)
+	got := e.suiteCPIs(context.Background(), paperL1DConfigs)
 	if n := len(paperL1DConfigs) * len(e.Benchmarks()); len(want) != n {
 		t.Fatalf("golden file has %d entries, want %d", len(want), n)
 	}

@@ -104,7 +104,7 @@ type checkpointer struct {
 
 // publish hands the prefix [0, p) to the Sink. A Sink error leaves last
 // unchanged, so the next attempt retries from the same frontier.
-func (c *checkpointer) publish(p int, scope *obs.Scope) {
+func (c *checkpointer) publish(p int) {
 	c.buf.Done = p
 	c.buf.Regular = c.reg[:p]
 	if c.buf.Pair {
@@ -116,5 +116,4 @@ func (c *checkpointer) publish(p int, scope *obs.Scope) {
 	}
 	c.last = p
 	obs.C("core_checkpoints_total").Inc()
-	scope.G("job_checkpoint_chips").Set(float64(p))
 }

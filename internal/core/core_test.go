@@ -461,23 +461,6 @@ func TestSavedConfigurations(t *testing.T) {
 	}
 }
 
-func TestBuildPopulationDeterministicAndParallel(t *testing.T) {
-	cfg := PopulationConfig{N: 50, Seed: 123, Org: OrgRegular}
-	a := mustBuild(t, cfg).Regular
-	b := mustBuild(t, cfg).Regular
-	if len(a.Chips) != 50 {
-		t.Fatalf("population size = %d", len(a.Chips))
-	}
-	for i := range a.Chips {
-		if a.Chips[i].Meas.LatencyPS != b.Chips[i].Meas.LatencyPS {
-			t.Fatalf("chip %d differs across identical builds", i)
-		}
-		if a.Chips[i].ID != i {
-			t.Fatalf("chip %d has ID %d", i, a.Chips[i].ID)
-		}
-	}
-}
-
 func TestRegularAndHYAPDShareDraws(t *testing.T) {
 	reg := mustBuild(t, PopulationConfig{N: 30, Seed: 7, Org: OrgRegular}).Regular
 	hor := mustBuild(t, PopulationConfig{N: 30, Seed: 7, Org: OrgHYAPD}).Horizontal

@@ -125,37 +125,3 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 		measIdentical(t, "horizontal "+labelOf(d.Parts(tech)), gotHor, wantHor)
 	}
 }
-
-// TestBuildBatchBoundaries sweeps population sizes around the kernel
-// batch width — a single chip, one under, one over, and a prime well
-// past it — across worker counts, checking each against the sequential
-// delta-builder base (an independently-batched evaluation of the same
-// draws). This pins the ragged-final-batch and stripe-assembly logic.
-func TestBuildBatchBoundaries(t *testing.T) {
-	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97} {
-		want := mustDelta(t, PopulationConfig{N: n, Seed: 2006})
-		wantReg, wantHor := want.Base()
-		for _, workers := range []int{1, 3} {
-			reg, hor := buildPair(t, PopulationConfig{N: n, Seed: 2006, Workers: workers})
-			measIdentical(t, "regular", reg, wantReg)
-			measIdentical(t, "horizontal", hor, wantHor)
-		}
-	}
-}
-
-// TestBuildPrefixPurity checks that chip i's measurement depends only
-// on the seed and i — never on N, worker count, or batch packing — by
-// comparing a small build against the prefix of a larger one.
-func TestBuildPrefixPurity(t *testing.T) {
-	const small, large = 17, 64
-	sReg, sHor := buildPair(t, PopulationConfig{N: small, Seed: 2006})
-	lReg, lHor := buildPair(t, PopulationConfig{N: large, Seed: 2006, Workers: 4})
-	for i := 0; i < small; i++ {
-		if !reflect.DeepEqual(sReg.Chips[i].Meas, lReg.Chips[i].Meas) {
-			t.Fatalf("regular chip %d differs between N=%d and N=%d builds", i, small, large)
-		}
-		if !reflect.DeepEqual(sHor.Chips[i].Meas, lHor.Chips[i].Meas) {
-			t.Fatalf("horizontal chip %d differs between N=%d and N=%d builds", i, small, large)
-		}
-	}
-}

@@ -14,11 +14,14 @@ import (
 // TestBuildDeterminismMatrix checks every determinism guarantee of the
 // population build in one place, against one unarmed single-worker
 // reference build whose size is not a multiple of sram.BatchWidth:
-// worker count, organisation, resume point, delta build vs full build,
-// checkpoint and estimate armed together, and the early-stop prefix.
-// Every row must reproduce the reference chip for chip — the early-stop
-// row its prefix — and every estimate a row publishes must equal the
-// estimate computed directly over the reference prefix it covers.
+// worker count (with and without the estimate armed), organisation,
+// population size around the batch width, resume point, delta build vs
+// full build, checkpoint and estimate armed together, and the
+// early-stop prefix. Every row must reproduce the reference chip for
+// chip, ids included — a smaller or early-stopped row its prefix, so
+// chip i depends only on the seed and i — and every estimate a row
+// publishes must equal the estimate computed directly over the
+// reference prefix it covers.
 func TestBuildDeterminismMatrix(t *testing.T) {
 	const n, seed = 5*sram.BatchWidth + 3, 2006
 	base := PopulationConfig{N: n, Seed: seed, Workers: 1}
@@ -34,13 +37,13 @@ func TestBuildDeterminismMatrix(t *testing.T) {
 		return e.buf
 	}
 	// prefixOK reports whether chips match the reference population's
-	// first len(chips) chips on every measurement field.
+	// first len(chips) chips, id and every measurement field.
 	prefixOK := func(chips []Chip, want *Population) bool {
 		if len(chips) > len(want.Chips) {
 			return false
 		}
 		for i := range chips {
-			if !reflect.DeepEqual(chips[i].Meas, want.Chips[i].Meas) {
+			if !reflect.DeepEqual(chips[i], want.Chips[i]) {
 				return false
 			}
 		}
@@ -67,34 +70,39 @@ func TestBuildDeterminismMatrix(t *testing.T) {
 		mu.Unlock()
 	}
 
-	rows := []struct {
+	type row struct {
 		name  string
 		build func(*testing.T) BuildResult
 		early bool // the row stops at a prefix of the reference
-	}{
-		{"workers=2", with(func(c *PopulationConfig) { c.Workers = 2 }), false},
-		{"workers=8", with(func(c *PopulationConfig) { c.Workers = 8 }), false},
-		{"regular only", with(func(c *PopulationConfig) { c.Org = OrgRegular; c.Workers = 3 }), false},
-		{"H-YAPD only", with(func(c *PopulationConfig) { c.Org = OrgHYAPD; c.Workers = 3 }), false},
-		{fmt.Sprintf("resume at %d", k), with(func(c *PopulationConfig) {
+		armed bool // the row arms the estimator, so it reports a final estimate
+		n     int  // the row's population size; 0 means n
+	}
+	rows := []row{
+		{name: "workers=2", build: with(func(c *PopulationConfig) { c.Workers = 2 })},
+		{name: "workers=8", build: with(func(c *PopulationConfig) { c.Workers = 8 })},
+		{name: "regular only", build: with(func(c *PopulationConfig) { c.Org = OrgRegular; c.Workers = 3 })},
+		{name: "regular only workers=8", build: with(func(c *PopulationConfig) { c.Org = OrgRegular; c.Workers = 8 })},
+		{name: "regular only default workers", build: with(func(c *PopulationConfig) { c.Org = OrgRegular; c.Workers = 0 })},
+		{name: "H-YAPD only", build: with(func(c *PopulationConfig) { c.Org = OrgHYAPD; c.Workers = 3 })},
+		{name: fmt.Sprintf("resume at %d", k), build: with(func(c *PopulationConfig) {
 			c.Workers = 3
 			c.Checkpoint = &CheckpointConfig{Resume: &BuildCheckpoint{
 				Seed: seed, N: n, Done: k, Pair: true,
 				Tech: ref.Regular.Model.Tech, Geom: ref.Regular.Model.Geom,
 				Regular: ref.Regular.Chips[:k], Horizontal: ref.Horizontal.Chips[:k],
 			}}
-		}), false},
-		{"delta base", func(t *testing.T) BuildResult {
+		})},
+		{name: "delta base", build: func(t *testing.T) BuildResult {
 			reg, hor := mustDelta(t, base).Base()
 			return BuildResult{Regular: reg, Horizontal: hor}
-		}, false},
-		{"delta from another tech", func(t *testing.T) BuildResult {
+		}},
+		{name: "delta from another tech", build: func(t *testing.T) BuildResult {
 			cfg := base
 			cfg.Tech = &alpha
 			reg, hor := deltaPair(t, mustDelta(t, cfg), circuit.PTM45())
 			return BuildResult{Regular: reg, Horizontal: hor}
-		}, false},
-		{"checkpoint+estimate", with(func(c *PopulationConfig) {
+		}},
+		{name: "checkpoint+estimate", build: with(func(c *PopulationConfig) {
 			c.Workers = 4
 			c.Checkpoint = &CheckpointConfig{Interval: time.Nanosecond, Sink: func(bc *BuildCheckpoint) error {
 				if !prefixOK(bc.Regular, ref.Regular) || !prefixOK(bc.Horizontal, ref.Horizontal) {
@@ -112,17 +120,34 @@ func TestBuildDeterminismMatrix(t *testing.T) {
 				}
 			}
 			c.Estimate = &e
-		}), false},
-		{"early stop", with(func(c *PopulationConfig) {
+		}), armed: true},
+		{name: "early stop", build: with(func(c *PopulationConfig) {
 			e := ecfg
 			e.TargetCIWidth = 0.5
 			c.Estimate = &e
-		}), true},
+		}), early: true, armed: true},
+	}
+	for _, w := range []int{1, 2, 3, 7, 8} {
+		rows = append(rows, row{name: fmt.Sprintf("estimate workers=%d", w), build: with(func(c *PopulationConfig) {
+			e := ecfg
+			e.Sink = func(*YieldEstimate) {}
+			c.Workers, c.Estimate = w, &e
+		}), armed: true})
+	}
+	for _, size := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 2*sram.BatchWidth + 1} {
+		for _, w := range []int{1, 3} {
+			rows = append(rows, row{name: fmt.Sprintf("N=%d workers=%d", size, w), n: size,
+				build: with(func(c *PopulationConfig) { c.N, c.Workers = size, w })})
+		}
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			bad, published = nil, 0
 			res := row.build(t)
+			want := n
+			if row.n != 0 {
+				want = row.n
+			}
 			chips := 0
 			for _, pair := range [][2]*Population{{res.Regular, ref.Regular}, {res.Horizontal, ref.Horizontal}} {
 				if pair[0] == nil {
@@ -133,18 +158,18 @@ func TestBuildDeterminismMatrix(t *testing.T) {
 					t.Errorf("population diverges from the reference")
 				}
 			}
-			if row.early != (chips < n) || chips == 0 {
-				t.Errorf("built %d of %d chips, early stop expected: %v", chips, n, row.early)
+			if row.early != (chips < want) || chips == 0 || chips > want {
+				t.Errorf("built %d of %d chips, early stop expected: %v", chips, want, row.early)
 			}
 			if res.Estimate != nil && *res.Estimate != wantEstimate(chips, row.early) {
 				t.Errorf("final estimate differs from the reference prefix's:\n got %+v\nwant %+v",
 					*res.Estimate, wantEstimate(chips, row.early))
 			}
-			if row.early && res.Estimate == nil {
-				t.Error("early-stopped build reports no estimate")
+			if row.armed && res.Estimate == nil {
+				t.Error("armed build reports no final estimate")
 			}
-			if row.name == "checkpoint+estimate" && (published == 0 || res.Estimate == nil) {
-				t.Errorf("armed build published %d checkpoints, estimate %v", published, res.Estimate)
+			if row.name == "checkpoint+estimate" && published == 0 {
+				t.Error("armed build published no checkpoint")
 			}
 			for _, msg := range bad {
 				t.Error(msg)

@@ -128,11 +128,10 @@ type estimator struct {
 
 // publish computes a snapshot over the prefix [0, p), hands it to the
 // Sink and evaluates the stopping rule, reporting whether it fired.
-func (e *estimator) publish(p int, scope *obs.Scope) bool {
+func (e *estimator) publish(p int) bool {
 	e.snapshot(p)
 	e.last = p
 	obs.C("core_estimates_published_total").Inc()
-	scope.G("job_estimate_chips").Set(float64(p))
 	if e.cfg.Sink != nil {
 		e.cfg.Sink(&e.buf)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -19,34 +18,6 @@ func armedConfig(n int, workers int, sink func(*YieldEstimate)) PopulationConfig
 			Constraints: Nominal(),
 			Sink:        sink,
 		},
-	}
-}
-
-// TestEstimateWorkerCountIndependent pins the estimator's central
-// determinism claim: the final snapshot is a pure function of the
-// measured prefix, so builds differing only in worker count produce
-// bit-identical final estimates (every field, intervals included).
-func TestEstimateWorkerCountIndependent(t *testing.T) {
-	var ref *YieldEstimate
-	for _, workers := range []int{1, 2, 3, 7, 8} {
-		res, err := Build(context.Background(), armedConfig(240, workers, nil))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		est := res.Estimate
-		if est == nil {
-			t.Fatalf("workers=%d: nil final estimate", workers)
-		}
-		if est.Chips != 240 || est.Total != 240 || est.EarlyStop {
-			t.Fatalf("workers=%d: unexpected final shape %+v", workers, est)
-		}
-		if ref == nil {
-			ref = est
-			continue
-		}
-		if *est != *ref {
-			t.Errorf("workers=%d: final estimate differs:\n got %+v\nwant %+v", workers, est, ref)
-		}
 	}
 }
 

@@ -101,12 +101,12 @@ func (p *publisher) advance(scope *obs.Scope, w, i, bn int) {
 	if now >= p.ckpDue {
 		p.ckpDue = now + p.ckp.interval
 		if prefix > p.ckp.last {
-			p.ckp.publish(prefix, scope)
+			p.ckp.publish(prefix)
 		}
 	}
 	if now >= p.estDue {
 		p.estDue = now + p.est.interval
-		if prefix > p.est.last && p.est.publish(prefix, scope) {
+		if prefix > p.est.last && p.est.publish(prefix) {
 			p.stop.Store(true)
 		}
 	}

@@ -146,7 +146,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	}
 	scope := obs.ScopeFrom(ctx)
 	scope.SetProgressTotal(int64(cfg.N))
-	sp := obs.StartSpanCtx(ctx, spanName)
+	ctx, sp := obs.StartSpan(ctx, spanName)
 	defer sp.End()
 	begin := time.Now()
 
@@ -199,7 +199,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		wg.Add(1)
 		go func(w, start int) {
 			defer wg.Done()
-			ws := sp.Worker("measure_chips", start)
+			ws := sp.Worker("measure_chips")
 			t0 := time.Now()
 			ev := model.NewEvaluator(sampler.NewScratch())
 			defer ev.Release()
@@ -272,10 +272,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	obs.G("core_population_build_seconds").Set(elapsed)
 	if elapsed > 0 {
 		obs.G("core_population_chips_per_second").Set(float64(measured) / elapsed)
-		scope.G("job_chips_per_second").Set(float64(measured) / elapsed)
 	}
-	scope.C("job_chips_built_total").Add(int64(measured))
-	scope.G("job_build_seconds").Set(elapsed)
 	pop := &Population{Chips: chips[:built], Model: model, Seed: cfg.Seed}
 	switch cfg.Org {
 	case OrgPair:

@@ -119,22 +119,6 @@ func TestPairMatchesDoubleBuild(t *testing.T) {
 	}
 }
 
-// TestWorkerCountIndependence checks determinism across parallelism:
-// a serial build and a wide build produce identical chips, because chip
-// i is a pure function of (seed, i) regardless of which worker draws it.
-func TestWorkerCountIndependence(t *testing.T) {
-	serial := mustBuild(t, PopulationConfig{N: 50, Seed: 2006, Workers: 1, Org: OrgRegular}).Regular
-	wide := mustBuild(t, PopulationConfig{N: 50, Seed: 2006, Workers: 8, Org: OrgRegular}).Regular
-	if !reflect.DeepEqual(serial.Chips, wide.Chips) {
-		t.Fatal("population depends on worker count")
-	}
-	sp, wp := buildPair(t, PopulationConfig{N: 50, Seed: 2006, Workers: 1})
-	s8, w8 := buildPair(t, PopulationConfig{N: 50, Seed: 2006, Workers: 8})
-	if !reflect.DeepEqual(sp.Chips, s8.Chips) || !reflect.DeepEqual(wp.Chips, w8.Chips) {
-		t.Fatal("pair population depends on worker count")
-	}
-}
-
 // TestBuildPopulationCtxCancellation checks that Build aborts early in
 // every organisation: a cancelled context returns its error without
 // building, and an expiring deadline stops a large build well before

@@ -529,7 +529,7 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 		return nil
 	}
 
-	sp := obs.StartSpanCtx(ctx, "sweep_cluster")
+	ctx, sp := obs.StartSpan(ctx, "sweep_cluster")
 	defer sp.End()
 	db, err := NewDeltaBuilder(ctx, PopulationConfig{
 		N:    plan.Spec.N,
@@ -550,8 +550,8 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		usp := obs.StartSpanCtx(ctx, "sweep_unit")
-		reg, _, err := db.BuildPair(ctx, u.Tech)
+		uctx, usp := obs.StartSpan(ctx, "sweep_unit")
+		reg, _, err := db.BuildPair(uctx, u.Tech)
 		if err != nil {
 			usp.End()
 			return err

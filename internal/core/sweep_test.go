@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"yieldcache/internal/circuit"
+	"yieldcache/internal/obs"
 	"yieldcache/internal/sram"
 )
 
@@ -283,6 +286,86 @@ func TestRunSweepGeometryCluster(t *testing.T) {
 		want := evalSweepConfig(ev.Config, reg, DefaultSweepSchemes())
 		if ev.MeanLatencyPS != want.MeanLatencyPS || ev.BaseYield != want.BaseYield {
 			t.Fatalf("small-geometry eval differs: %+v != %+v", ev, want)
+		}
+	}
+}
+
+// TestRunSweepTraceParenting runs two geometry clusters concurrently
+// under a job scope, holding each at its first evaluation until both
+// have started, and checks the job trace: every sweep_cluster is a
+// root, every sweep_unit is a child of the cluster that ran it, each
+// cluster holds as many units as the plan gives it, and spans sharing a
+// lane are nested in time.
+func TestRunSweepTraceParenting(t *testing.T) {
+	small := sram.Geometry{Ways: 2, BanksPerWay: 2, RowsPerBank: 32, BitsPerRow: 64, PathsPerBank: 2}
+	spec := sweepTestSpec(sram.BatchWidth + 2)
+	spec.Geometries = []sram.Geometry{sram.Paper16KB(), small}
+	plan, err := PlanSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Clusters) != 2 {
+		t.Fatalf("clusters = %d, want 2", len(plan.Clusters))
+	}
+	var both sync.WaitGroup
+	both.Add(len(plan.Clusters))
+	var mu sync.Mutex
+	started := map[sram.Geometry]bool{}
+	sc := obs.NewScope("sweep", nil)
+	_, err = RunSweep(obs.WithScope(context.Background(), sc), plan, SweepRunOptions{
+		Parallel: 2,
+		OnEval: func(ev SweepEval, _, _ int) {
+			mu.Lock()
+			first := !started[ev.Config.Geometry]
+			started[ev.Config.Geometry] = true
+			mu.Unlock()
+			if first {
+				both.Done()
+				both.Wait()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spans := sc.Tracer.Spans()
+	units := map[int]int{} // cluster span index -> its sweep_unit children
+	for i, s := range spans {
+		switch s.Name {
+		case "sweep_cluster":
+			if s.Parent != -1 {
+				t.Errorf("sweep_cluster %d has parent %q, want a root", i, spans[s.Parent].Name)
+			}
+			units[i] += 0
+		case "sweep_unit":
+			if s.Parent < 0 || spans[s.Parent].Name != "sweep_cluster" {
+				t.Errorf("sweep_unit %d is not a child of a sweep_cluster", i)
+				continue
+			}
+			units[s.Parent]++
+		}
+	}
+	var got, want []int
+	for _, n := range units {
+		got = append(got, n)
+	}
+	for _, cl := range plan.Clusters {
+		want = append(want, len(cl.Units))
+	}
+	sort.Ints(got)
+	sort.Ints(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep_unit spans per cluster = %v, plan has %v", got, want)
+	}
+	for i, s := range spans {
+		for _, o := range spans[:i] {
+			disjoint := s.End <= o.Start || o.End <= s.Start
+			nested := (o.Start <= s.Start && s.End <= o.End) || (s.Start <= o.Start && o.End <= s.End)
+			if s.Lane == o.Lane && !disjoint && !nested {
+				t.Errorf("lane %d: %s [%v, %v] and %s [%v, %v] overlap without nesting",
+					s.Lane, o.Name, o.Start, o.End, s.Name, s.Start, s.End)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"yieldcache/internal/obs"
@@ -27,7 +28,7 @@ type LossBreakdown struct {
 // BreakdownLosses classifies every chip of the population under the
 // given limits and applies each scheme to the failing ones.
 func BreakdownLosses(pop *Population, lim Limits, schemes ...Scheme) LossBreakdown {
-	sp := obs.StartSpan("breakdown_losses")
+	_, sp := obs.StartSpan(context.TODO(), "breakdown_losses")
 	defer sp.End()
 	bd := LossBreakdown{
 		N:    len(pop.Chips),

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -196,19 +197,28 @@ func TestScopeProgressPublishesThrottled(t *testing.T) {
 	}
 }
 
+// StartSpan under a context carrying a scope publishes job_phase on the
+// scope's bus, for roots and children alike; Worker spans never do.
 func TestScopeStartSpanPublishesPhase(t *testing.T) {
 	b := NewEventBus()
 	s := NewScope("j000007", nil)
 	s.AttachEvents(b, 0)
+	ctx := WithScope(context.Background(), s)
 
-	s.StartSpan("before_subscribe").End() // no subscriber: no event
+	_, sp := StartSpan(ctx, "before_subscribe") // no subscriber: no event
+	sp.End()
 	sub := b.Subscribe(8, EventJobPhase)
 	defer sub.Close()
-	s.StartSpan("build_population/pair").End()
+	ctx, sp = StartSpan(ctx, "new_study")
+	_, child := StartSpan(ctx, "build_population/pair")
+	child.Worker("measure_chips").End()
+	child.End()
+	sp.End()
 
 	got := drain(sub)
-	if len(got) != 1 || got[0].Phase != "build_population/pair" || got[0].Job != "j000007" {
-		t.Errorf("phase events = %+v, want one build_population/pair for j000007", got)
+	if len(got) != 2 || got[0].Phase != "new_study" || got[1].Phase != "build_population/pair" ||
+		got[0].Job != "j000007" || got[1].Job != "j000007" {
+		t.Errorf("phase events = %+v, want new_study then build_population/pair for j000007", got)
 	}
 }
 

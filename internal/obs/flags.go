@@ -42,15 +42,13 @@ type Run struct {
 	flags    *Flags
 	Manifest *Manifest // nil unless -manifest-out was given
 	tracer   *Tracer
-	root     *Span
 }
 
 // Activate switches on whatever the flags ask for: the default metrics
-// registry, the default tracer (with a root span named after the tool),
-// the manifest, the pprof server, and the process's slog default
-// handler (text or json per -log-format). With no flags set only the
-// logger is configured and the instrumented code paths stay on their
-// nil fast path.
+// registry, the default tracer, the manifest, the pprof server, and the
+// process's slog default handler (text or json per -log-format). With
+// no flags set only the logger is configured and the instrumented code
+// paths stay on their nil fast path.
 func (f *Flags) Activate(tool string) *Run {
 	r := &Run{flags: f}
 	switch f.LogFormat {
@@ -64,7 +62,6 @@ func (f *Flags) Activate(tool string) *Run {
 	}
 	if f.TraceOut != "" {
 		r.tracer = EnableTracing()
-		r.root = r.tracer.StartSpan(tool)
 	}
 	if f.ManifestOut != "" {
 		r.Manifest = NewManifest(tool)
@@ -80,9 +77,9 @@ func (f *Flags) Activate(tool string) *Run {
 	return r
 }
 
-// Close ends the root span and writes the metrics, trace (plus a text
-// flame summary on stderr), and manifest files. It returns the first
-// error but attempts every output.
+// Close writes the metrics, trace (plus a text flame summary on
+// stderr), and manifest files. It returns the first error but attempts
+// every output.
 func (r *Run) Close() error {
 	if r == nil {
 		return nil
@@ -102,7 +99,6 @@ func (r *Run) Close() error {
 		}))
 	}
 	if r.flags.TraceOut != "" {
-		r.root.End()
 		keep(writeFile(r.flags.TraceOut, func(w *os.File) error {
 			return r.tracer.WriteChromeTrace(w)
 		}))

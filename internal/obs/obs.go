@@ -9,7 +9,8 @@
 // accessor is nil-safe, so instrumented code pays only an atomic load
 // and a nil check when observability is off (see BenchmarkObsDisabled).
 // CLIs switch it on via Flags/Activate; libraries just call C, G, H and
-// StartSpan unconditionally.
+// StartSpan unconditionally. Spans take their parent from the context
+// (see StartSpan and Tracer).
 package obs
 
 import "sync/atomic"
@@ -58,8 +59,3 @@ func G(name string) *Gauge { return defaultRegistry.Load().Gauge(name) }
 func H(name string, bounds []float64) *Histogram {
 	return defaultRegistry.Load().Histogram(name, bounds)
 }
-
-// StartSpan opens a phase span on the default tracer, nested under the
-// innermost span currently open on the caller's (sequential) phase
-// stack. Returns nil — a no-op span — when tracing is disabled.
-func StartSpan(name string) *Span { return defaultTracer.Load().StartSpan(name) }

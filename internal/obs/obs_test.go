@@ -38,9 +38,8 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("x").Set(1)
 	r.Histogram("x", nil).Observe(1)
 	var tr *Tracer
-	sp := tr.StartSpan("x")
-	sp.Child("y").End()
-	sp.Worker("z", 3).End()
+	var sp *Span
+	sp.Worker("z").End()
 	sp.End()
 	if s := tr.Summary(); !strings.Contains(s, "no spans") {
 		t.Errorf("nil tracer summary = %q", s)
@@ -49,7 +48,13 @@ func TestNilSafety(t *testing.T) {
 	C("x").Inc()
 	G("x").Set(1)
 	H("x", nil).Observe(1)
-	StartSpan("x").End()
+	ctx := context.Background()
+	got, sp := StartSpan(ctx, "x")
+	if got != ctx || sp != nil {
+		t.Errorf("disabled StartSpan = (%v, %v), want the same context and a nil span", got, sp)
+	}
+	sp.Worker("y").End()
+	sp.End()
 }
 
 func TestHistogramBucketing(t *testing.T) {
@@ -189,16 +194,17 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestTracerTreeAndChromeTrace(t *testing.T) {
-	tr := NewTracer()
-	root := tr.StartSpan("pipeline")
-	build := tr.StartSpan("build") // nested: build is open inside pipeline
-	w0 := build.Worker("worker", 0)
-	w1 := build.Worker("worker", 1)
+	sc := NewScope("j1", nil)
+	tr := sc.Tracer
+	ctx, root := StartSpan(WithScope(context.Background(), sc), "pipeline")
+	_, build := StartSpan(ctx, "build") // nested: build is a child of pipeline
+	w0 := build.Worker("worker")
+	w1 := build.Worker("worker")
 	time.Sleep(time.Millisecond)
 	w0.End()
 	w1.End()
 	build.End()
-	eval := tr.StartSpan("evaluate")
+	_, eval := StartSpan(ctx, "evaluate")
 	eval.End()
 	root.End()
 
@@ -253,18 +259,20 @@ func TestTracerTreeAndChromeTrace(t *testing.T) {
 		}
 		tids[e.Name] = e.Tid
 	}
-	if tids["pipeline"] != 1 || tids["build"] != 1 {
-		t.Errorf("main-lane spans should be on tid 1: %v", tids)
+	if tids["pipeline"] != 1 || tids["build"] != 1 || tids["evaluate"] != 1 {
+		t.Errorf("sequential spans should share lane 1: %v", tids)
 	}
-	// The two workers share a name; at least one must be off the main lane.
+	// The two workers overlap, so the second one cannot stay on lane 1.
 	if tids["worker"] == 1 {
-		t.Errorf("worker spans should have their own lanes: %v", tids)
+		t.Errorf("overlapping worker spans should take their own lanes: %v", tids)
 	}
+	checkSpanTree(t, tr.Spans())
 }
 
 func TestTracerOpenSpanSnapshot(t *testing.T) {
-	tr := NewTracer()
-	tr.StartSpan("never_ended")
+	sc := NewScope("j1", nil)
+	tr := sc.Tracer
+	StartSpan(WithScope(context.Background(), sc), "never_ended")
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -305,7 +313,8 @@ func TestEnableDisableDefault(t *testing.T) {
 		t.Error("package-level counter did not reach the default registry")
 	}
 	tr := EnableTracing()
-	StartSpan("phase").End()
+	_, sp := StartSpan(context.Background(), "phase")
+	sp.End()
 	if !strings.Contains(tr.Summary(), "phase") {
 		t.Error("package-level span did not reach the default tracer")
 	}
@@ -333,16 +342,11 @@ func BenchmarkObsDisabled(b *testing.B) {
 		}
 	})
 	b.Run("span", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			StartSpan("phase").End()
-		}
-	})
-	b.Run("span_ctx", func(b *testing.B) {
 		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			StartSpanCtx(ctx, "phase").End()
+			_, sp := StartSpan(ctx, "phase")
+			sp.End()
 		}
 	})
 	b.Run("scope_progress", func(b *testing.B) {

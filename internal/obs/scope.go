@@ -8,23 +8,20 @@ import (
 	"time"
 )
 
-// Scope is one job's telemetry: a private metrics registry, a private
-// phase tracer, a structured logger stamped with the job id, and a
-// lock-free progress counter. Scopes exist so concurrent builds do not
-// interleave their spans in the process-global tracer: the yieldd
-// server creates one Scope per admitted build and threads it through
-// the pipeline via context.Context (WithScope / ScopeFrom), and the
-// per-job trace is later served from Scope.Tracer.
+// Scope is one job's telemetry: its id, a private phase tracer, a
+// structured logger stamped with the id, a lock-free progress counter
+// and, once attached, an event bus. Scopes exist so concurrent builds
+// do not interleave their spans in the process-global tracer: the
+// yieldd server creates one Scope per admitted build and threads it
+// through the pipeline via context.Context (WithScope / ScopeFrom);
+// StartSpan roots the job's spans on Scope.Tracer, and the per-job
+// trace is later served from it.
 //
-// Every method is nil-safe, mirroring the package-level C/G/H/StartSpan
-// contract: code instrumented against a Scope pays only a nil check
-// when no scope is attached.
+// Every method is nil-safe: code instrumented against a Scope pays
+// only a nil check when no scope is attached.
 type Scope struct {
 	// ID names the job; it doubles as the log correlation key.
 	ID string
-	// Registry collects the job's own metrics, separate from the
-	// process-global registry behind /metrics.
-	Registry *Registry
 	// Tracer records the job's phase spans; WriteChromeTrace on it
 	// yields the per-job trace served at /v1/jobs/{id}/trace.
 	Tracer *Tracer
@@ -47,7 +44,7 @@ type Scope struct {
 // scopes built without a base logger.
 var discardLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// NewScope returns a fresh Scope with its own registry and tracer. The
+// NewScope returns a fresh Scope with its own tracer. The
 // scope's logger is base with a "job" attribute set to id (a discarding
 // logger when base is nil).
 func NewScope(id string, base *slog.Logger) *Scope {
@@ -56,10 +53,9 @@ func NewScope(id string, base *slog.Logger) *Scope {
 		logger = base.With("job", id)
 	}
 	return &Scope{
-		ID:       id,
-		Registry: NewRegistry(),
-		Tracer:   NewTracer(),
-		logger:   logger,
+		ID:     id,
+		Tracer: NewTracer(),
+		logger: logger,
 	}
 }
 
@@ -71,48 +67,10 @@ func (s *Scope) Log() *slog.Logger {
 	return s.logger
 }
 
-// C returns the named counter of the scope's registry (nil scope →
-// no-op counter).
-func (s *Scope) C(name string) *Counter {
-	if s == nil {
-		return nil
-	}
-	return s.Registry.Counter(name)
-}
-
-// G returns the named gauge of the scope's registry (nil scope → no-op).
-func (s *Scope) G(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	return s.Registry.Gauge(name)
-}
-
-// H returns the named histogram of the scope's registry (nil scope →
-// no-op). Bounds apply only on first registration of the name.
-func (s *Scope) H(name string, bounds []float64) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.Registry.Histogram(name, bounds)
-}
-
-// StartSpan opens a span on the scope's tracer (nil scope → no-op
-// span). When an event bus is attached and has a subscriber, entering
-// the phase also publishes a job_phase event.
-func (s *Scope) StartSpan(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.events.Active() {
-		s.events.Publish(Event{Type: EventJobPhase, Job: s.ID, Phase: name})
-	}
-	return s.Tracer.StartSpan(name)
-}
-
 // AttachEvents connects the scope to a telemetry bus: AddProgress
 // publishes a job_progress snapshot at most once per interval and
-// StartSpan publishes job_phase events — but only while the bus has a
+// StartSpan under a context carrying the scope publishes job_phase
+// events — but only while the bus has a
 // subscriber. With no subscriber attached the progress hot path pays
 // one extra atomic load and nothing else (see
 // BenchmarkScopeProgressIdleBus and the zero-alloc pin in
@@ -206,7 +164,7 @@ func (s *Scope) Progress() (done, total int64) {
 type scopeKey struct{}
 
 // WithScope returns a context carrying s; the pipeline's instrumented
-// phases pick it up via ScopeFrom / StartSpanCtx.
+// phases pick it up via ScopeFrom / StartSpan.
 func WithScope(ctx context.Context, s *Scope) context.Context {
 	return context.WithValue(ctx, scopeKey{}, s)
 }
@@ -216,17 +174,4 @@ func WithScope(ctx context.Context, s *Scope) context.Context {
 func ScopeFrom(ctx context.Context) *Scope {
 	s, _ := ctx.Value(scopeKey{}).(*Scope)
 	return s
-}
-
-// StartSpanCtx opens a span on the scope carried by ctx, falling back
-// to the default (process-global) tracer when no scope is attached.
-// This is how the core pipeline keeps one instrumentation call site
-// serving both the per-job server path and the global CLI path. Going
-// through Scope.StartSpan means phase entries also reach the scope's
-// event bus when one is attached and subscribed.
-func StartSpanCtx(ctx context.Context, name string) *Span {
-	if s := ScopeFrom(ctx); s != nil {
-		return s.StartSpan(name)
-	}
-	return defaultTracer.Load().StartSpan(name)
 }

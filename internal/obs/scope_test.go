@@ -12,10 +12,6 @@ import (
 // nil-safe handle, mirroring the package-level disabled path.
 func TestScopeNilSafety(t *testing.T) {
 	var s *Scope
-	s.C("c").Inc()
-	s.G("g").Set(1)
-	s.H("h", nil).Observe(1)
-	s.StartSpan("sp").End()
 	s.SetProgressTotal(10)
 	s.AddProgress(3)
 	if done, total := s.Progress(); done != 0 || total != 0 {
@@ -38,17 +34,18 @@ func TestScopeContextRoundTrip(t *testing.T) {
 	}
 }
 
-// StartSpanCtx must route spans to the scope's tracer when one is
-// attached, and to the default tracer otherwise — per-job isolation
-// with the global CLI path unchanged.
-func TestStartSpanCtxRouting(t *testing.T) {
+// StartSpan must root spans on the scope's tracer when one is attached,
+// and on the default tracer otherwise — per-job isolation with the
+// global CLI path unchanged.
+func TestStartSpanRouting(t *testing.T) {
 	defer Disable()
 	global := EnableTracing()
 
 	sc := NewScope("j1", nil)
-	ctx := WithScope(context.Background(), sc)
-	StartSpanCtx(ctx, "scoped_phase").End()
-	StartSpanCtx(context.Background(), "global_phase").End()
+	_, sp := StartSpan(WithScope(context.Background(), sc), "scoped_phase")
+	sp.End()
+	_, sp = StartSpan(context.Background(), "global_phase")
+	sp.End()
 
 	if sum := sc.Tracer.Summary(); !strings.Contains(sum, "scoped_phase") {
 		t.Errorf("scope tracer missing scoped span:\n%s", sum)
@@ -91,27 +88,14 @@ func TestScopeLoggerCarriesJobID(t *testing.T) {
 	}
 }
 
-// Scope metrics land in the scope registry, not the default one.
-func TestScopeMetricsIsolated(t *testing.T) {
-	defer Disable()
-	global := Enable()
-	sc := NewScope("j1", nil)
-	sc.C("job_chips_built_total").Add(7)
-	if got := sc.Registry.Counter("job_chips_built_total").Value(); got != 7 {
-		t.Errorf("scope counter = %d, want 7", got)
-	}
-	if got := global.Counter("job_chips_built_total").Value(); got != 0 {
-		t.Errorf("default registry leaked scope counter: %d", got)
-	}
-}
-
 // Tracer.Spans must expose the recorded spans with closed-at-now
 // semantics for open ones.
 func TestTracerSpans(t *testing.T) {
-	tr := NewTracer()
-	outer := tr.StartSpan("outer")
-	tr.StartSpan("inner").End()
-	spans := tr.Spans()
+	sc := NewScope("j1", nil)
+	ctx, outer := StartSpan(WithScope(context.Background(), sc), "outer")
+	_, inner := StartSpan(ctx, "inner")
+	inner.End()
+	spans := sc.Tracer.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("Spans() = %d records, want 2", len(spans))
 	}

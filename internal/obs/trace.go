@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,22 +13,25 @@ import (
 
 // Tracer records wall-time spans of the pipeline phases as a tree.
 //
-// The main pipeline runs its phases sequentially, so StartSpan keeps an
-// implicit stack: a span started while another is open becomes its
-// child. Parallel workers must not touch that stack — they get explicit
-// lanes via Span.Worker, which parents the span directly and gives it
-// its own Chrome-trace thread id.
+// Every span is opened with an explicit parent: StartSpan takes it
+// from the context, Span.Worker from its receiver. Concurrent callers
+// therefore never nest inside one another. The tracer, not the caller,
+// picks each span's Chrome-trace lane: a span stays on its parent's
+// lane while the parent is the innermost open span there, and
+// otherwise takes the lowest lane with no open span. Spans sharing a
+// lane are thus nested in time under any concurrency, provided every
+// span ends before its parent does.
 type Tracer struct {
 	mu    sync.Mutex
 	base  time.Time
 	spans []spanRec
-	stack []int // indices of open spans on the sequential phase stack
+	lanes [][]int // per lane, the indices of its open spans, innermost last
 }
 
 type spanRec struct {
 	name       string
 	parent     int // index into spans; -1 for roots
-	tid        int // Chrome trace_event lane; 1 is the main pipeline
+	tid        int // Chrome trace_event lane, from 1
 	start, end time.Duration
 	open       bool
 }
@@ -41,59 +45,93 @@ type Span struct {
 // NewTracer returns an empty tracer; its clock starts now.
 func NewTracer() *Tracer { return &Tracer{base: time.Now()} }
 
-// StartSpan opens a span nested under the innermost open span of the
-// sequential phase stack (a root span when the stack is empty).
-func (t *Tracer) StartSpan(name string) *Span {
+// spanKey is the context key carrying the innermost open *Span.
+type spanKey struct{}
+
+// StartSpan opens a span named name and returns it with a context that
+// carries it, so spans opened from that context become its children.
+// The parent is the span ctx carries, and the new span lives on that
+// span's tracer. With no span in ctx the new span is a root: on the
+// tracer of ctx's Scope when there is one, otherwise on the default
+// tracer. When ctx carries a Scope whose event bus has a subscriber,
+// entering the phase also publishes a job_phase event. With tracing
+// off it returns ctx unchanged and a nil (no-op) span, allocating
+// nothing.
+func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	sc := ScopeFrom(ctx)
+	if sc != nil && sc.events.Active() {
+		sc.events.Publish(Event{Type: EventJobPhase, Job: sc.ID, Phase: name})
+	}
+	var sp *Span
+	if parent, _ := ctx.Value(spanKey{}).(*Span); parent != nil {
+		sp = parent.t.start(name, parent.idx)
+	} else if sc != nil {
+		sp = sc.Tracer.start(name, -1)
+	} else {
+		sp = defaultTracer.Load().start(name, -1)
+	}
+	if sp == nil {
+		return ctx, nil
+	}
+	return context.WithValue(ctx, spanKey{}, sp), sp
+}
+
+// Worker opens a child span of s for one goroutine of a parallel
+// phase; safe to call from any goroutine. Unlike StartSpan it never
+// publishes an event.
+func (s *Span) Worker(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.t.start(name, s.idx)
+}
+
+// start records an open span under parent (-1 for a root) and picks its
+// lane. A nil tracer returns a nil span.
+func (t *Tracer) start(name string, parent int) *Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	parent := -1
-	if n := len(t.stack); n > 0 {
-		parent = t.stack[n-1]
+	lane := 0
+	if open := t.parentLane(parent); open >= 0 {
+		lane = open
+	} else {
+		for lane < len(t.lanes) && len(t.lanes[lane]) > 0 {
+			lane++
+		}
+		if lane == len(t.lanes) {
+			t.lanes = append(t.lanes, nil)
+		}
 	}
-	idx := t.push(name, parent, 1)
-	t.stack = append(t.stack, idx)
-	return &Span{t: t, idx: idx}
-}
-
-// Child opens a span explicitly parented to s, without involving the
-// phase stack; safe to call from any goroutine.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return &Span{t: s.t, idx: s.t.push(name, s.idx, s.t.spans[s.idx].tid)}
-}
-
-// Worker opens a child span on its own trace lane (thread id 2+id), for
-// concurrent workers whose spans overlap in time.
-func (s *Span) Worker(name string, id int) *Span {
-	if s == nil {
-		return nil
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return &Span{t: s.t, idx: s.t.push(name, s.idx, 2+id)}
-}
-
-// push appends an open span record; the caller holds t.mu.
-func (t *Tracer) push(name string, parent, tid int) int {
+	idx := len(t.spans)
 	t.spans = append(t.spans, spanRec{
 		name:   name,
 		parent: parent,
-		tid:    tid,
+		tid:    lane + 1,
 		start:  time.Since(t.base),
 		open:   true,
 	})
-	return len(t.spans) - 1
+	t.lanes[lane] = append(t.lanes[lane], idx)
+	return &Span{t: t, idx: idx}
 }
 
-// End closes the span. Stack-tracked spans are removed from the phase
-// stack even when ended out of order.
+// parentLane returns the lane (0-based) of parent when parent is the
+// innermost open span there, else -1; the caller holds t.mu.
+func (t *Tracer) parentLane(parent int) int {
+	if parent < 0 {
+		return -1
+	}
+	l := t.spans[parent].tid - 1
+	if open := t.lanes[l]; len(open) > 0 && open[len(open)-1] == parent {
+		return l
+	}
+	return -1
+}
+
+// End closes the span and frees its place on its lane, even when it
+// ends out of order.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -107,9 +145,10 @@ func (s *Span) End() {
 	}
 	rec.end = time.Since(t.base)
 	rec.open = false
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if t.stack[i] == s.idx {
-			t.stack = append(t.stack[:i], t.stack[i+1:]...)
+	open := t.lanes[rec.tid-1]
+	for i := len(open) - 1; i >= 0; i-- {
+		if open[i] == s.idx {
+			t.lanes[rec.tid-1] = append(open[:i], open[i+1:]...)
 			break
 		}
 	}
@@ -137,7 +176,7 @@ func (t *Tracer) snapshot() []spanRec {
 type SpanInfo struct {
 	Name   string
 	Parent int // index into the snapshot; -1 for roots
-	Lane   int // Chrome trace lane (tid); 1 is the main pipeline
+	Lane   int // Chrome trace lane (tid), from 1; see Tracer for the lane rule
 	Start  time.Duration
 	End    time.Duration
 	Open   bool // still running at snapshot time (End is the snapshot time)

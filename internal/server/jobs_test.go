@@ -42,7 +42,7 @@ func TestConcurrentJobTracesIsolated(t *testing.T) {
 		// Emit a span named after the seed into whatever tracer the
 		// context routes to — isolation means it lands in this job's
 		// trace only.
-		sp := obs.StartSpanCtx(ctx, fmt.Sprintf("build_seed_%d", cfg.Seed))
+		_, sp := obs.StartSpan(ctx, fmt.Sprintf("build_seed_%d", cfg.Seed))
 		started <- fmt.Sprint(cfg.Seed)
 		select {
 		case <-release:
@@ -399,8 +399,10 @@ func TestObservePhasesRespectsCap(t *testing.T) {
 	srv.phases = newPhaseLabelSet(3)
 
 	sc := obs.NewScope("j1", nil)
+	ctx := obs.WithScope(context.Background(), sc)
 	for i := 0; i < 10; i++ {
-		sc.StartSpan(fmt.Sprintf("weird_phase_%d", i)).End()
+		_, sp := obs.StartSpan(ctx, fmt.Sprintf("weird_phase_%d", i))
+		sp.End()
 	}
 	srv.observePhases(sc)
 
@@ -411,6 +413,109 @@ func TestObservePhasesRespectsCap(t *testing.T) {
 		key := fmt.Sprintf(`server_build_phase_seconds{phase="weird_phase_%d"}`, i)
 		if got := reg.Histogram(key, nil).Count(); got != 1 {
 			t.Errorf("%s count = %d, want 1", key, got)
+		}
+	}
+}
+
+// A job reads done only once its key is cached: while the server's
+// cache lock is held the finishing job stays running, so a client that
+// sees "done" and repeats the request is answered from the cache
+// instead of being coalesced onto the finishing call.
+func TestJobDoneOnlyOnceCached(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	entered := make(chan string, 1)
+	release := make(chan struct{})
+	srv.build = func(ctx context.Context, cfg yieldcache.StudyConfig) (*yieldcache.Study, error) {
+		entered <- obs.ScopeFrom(ctx).ID
+		<-release
+		return yieldcache.NewStudyCtx(ctx, yieldcache.StudyConfig{Chips: 20, Seed: cfg.Seed})
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	codes := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/study", "application/json", strings.NewReader(`{"chips": 20, "seed": 5}`))
+		if err != nil {
+			codes <- -1
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}()
+	j, ok := srv.jobsReg.get(<-entered)
+	if !ok {
+		t.Fatal("admitted job is not registered")
+	}
+	state := func() string { return srv.jobsReg.summary(j).State }
+
+	srv.mu.Lock()
+	close(release)
+	for i := 0; i < 50 && state() == jobRunning; i++ {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st := state(); st != jobRunning {
+		_, cached := srv.cache[j.key]
+		t.Errorf("job reads %q while its result is not yet published (cached: %v)", st, cached)
+	}
+	srv.mu.Unlock()
+
+	if code := <-codes; code != http.StatusOK {
+		t.Fatalf("study request: status %d", code)
+	}
+	if st := state(); st != jobDone {
+		t.Fatalf("job state %q after the response, want %q", st, jobDone)
+	}
+	srv.mu.Lock()
+	_, cached := srv.cache[j.key]
+	srv.mu.Unlock()
+	if !cached {
+		t.Error("finished job's key is not cached")
+	}
+}
+
+// A study job's trace is the span tree the docs describe: queue_wait,
+// new_study and assemble_response are roots; new_study holds the pair
+// build (one measure_chips span per worker) and derive_limits.
+func TestStudyJobTraceShape(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/study", "application/json", strings.NewReader(`{"chips": 40, "seed": 5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("study request: status %d", resp.StatusCode)
+	}
+	j, ok := srv.jobsReg.get(resp.Header.Get("X-Job-Id"))
+	if !ok {
+		t.Fatal("finished job is not registered")
+	}
+	want := map[string]string{
+		"queue_wait":            "",
+		"new_study":             "",
+		"build_population/pair": "new_study",
+		"measure_chips":         "build_population/pair",
+		"derive_limits":         "new_study",
+		"assemble_response":     "",
+	}
+	count := map[string]int{}
+	spans := j.scope.Tracer.Spans()
+	for _, s := range spans {
+		parent := ""
+		if s.Parent >= 0 {
+			parent = spans[s.Parent].Name
+		}
+		if p, ok := want[s.Name]; !ok || p != parent {
+			t.Errorf("span %q has parent %q, want %q", s.Name, parent, p)
+		}
+		count[s.Name]++
+	}
+	for name := range want {
+		if n := count[name]; n == 0 || (n > 1 && name != "measure_chips") {
+			t.Errorf("trace has %d %q spans (all: %v)", n, name, count)
 		}
 	}
 }

@@ -751,7 +751,7 @@ func (s *Server) run(req jobRequest, c *call) {
 	defer cancel()
 	ctx = obs.WithScope(ctx, j.scope)
 
-	qsp := j.scope.StartSpan("queue_wait")
+	_, qsp := obs.StartSpan(ctx, "queue_wait")
 	select {
 	case s.slots <- struct{}{}:
 		qsp.End()
@@ -770,18 +770,10 @@ func (s *Server) run(req jobRequest, c *call) {
 	}
 
 	s.observePhases(j.scope)
-	elapsedMS := s.jobsReg.finish(j, c.err).Seconds() * 1e3
-	done, total := j.scope.Progress()
-	if c.err != nil {
-		s.bus.Publish(obs.Event{Type: obs.EventJobFailed, Job: j.id,
-			Class: string(j.class), Error: c.err.Error(), Done: done, Total: total})
-		j.scope.Log().Error("job failed", "error", c.err.Error(), "class", j.class)
-	} else {
-		s.bus.Publish(obs.Event{Type: obs.EventJobCompleted, Job: j.id,
-			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: elapsedMS})
-		j.scope.Log().Info("job done", "done", done, "total", total, "elapsed_ms", elapsedMS)
-	}
 
+	// Publish the result before the job reads done: a request that sees
+	// the job finished must be answered from the cache, not coalesced
+	// onto this finishing call.
 	var evicted, expiredIdem []string
 	cached := false
 	s.mu.Lock()
@@ -804,6 +796,18 @@ func (s *Server) run(req jobRequest, c *call) {
 	s.jobs--
 	obs.G("server_jobs_admitted").Set(float64(s.jobs))
 	s.mu.Unlock()
+
+	elapsedMS := s.jobsReg.finish(j, c.err).Seconds() * 1e3
+	done, total := j.scope.Progress()
+	if c.err != nil {
+		s.bus.Publish(obs.Event{Type: obs.EventJobFailed, Job: j.id,
+			Class: string(j.class), Error: c.err.Error(), Done: done, Total: total})
+		j.scope.Log().Error("job failed", "error", c.err.Error(), "class", j.class)
+	} else {
+		s.bus.Publish(obs.Event{Type: obs.EventJobCompleted, Job: j.id,
+			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: elapsedMS})
+		j.scope.Log().Info("job done", "done", done, "total", total, "elapsed_ms", elapsedMS)
+	}
 	for _, old := range evicted {
 		s.bus.Publish(obs.Event{Type: obs.EventCacheEvict, Key: old})
 	}
@@ -835,7 +839,7 @@ func (p params) compute(ctx context.Context, s *Server, j *job) (any, error) {
 	elapsed := time.Since(t0).Seconds()
 	s.observeBuild("server_build_seconds", elapsed)
 
-	asp := obs.StartSpanCtx(ctx, "assemble_response")
+	_, asp := obs.StartSpan(ctx, "assemble_response")
 	defer asp.End()
 	extra := []yieldcache.Constraints{yieldcache.Relaxed(), yieldcache.Strict()}
 	res := &StudyResponse{

@@ -1,6 +1,7 @@
 package yieldcache
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -114,8 +115,9 @@ func keyOf(cfg CacheConfig, predicted int) l1dKey {
 // distinct key is registered in flight and the lot is simulated in one
 // suite pass, each benchmark's trace generated once for all of them.
 // Each distinct key of a request counts once as a cache hit, a
-// coalesced wait or a miss (a suite evaluation).
-func (e *PerfEvaluator) suiteCPIs(keys []l1dKey) [][]float64 {
+// coalesced wait or a miss (a suite evaluation). The suite pass's span
+// is a child of the span ctx carries.
+func (e *PerfEvaluator) suiteCPIs(ctx context.Context, keys []l1dKey) [][]float64 {
 	calls := make([]*perfCall, len(keys))    // evaluation to await, by position
 	first := make(map[string]int, len(keys)) // key -> its first position
 	var todo []l1dKey
@@ -156,7 +158,7 @@ func (e *PerfEvaluator) suiteCPIs(keys []l1dKey) [][]float64 {
 	if len(todo) > 0 {
 		obs.C("perf_config_cache_misses_total").Add(int64(len(todo)))
 		e.computes.Add(int64(len(todo)))
-		cpis := e.simulate(todo)
+		cpis := e.simulate(ctx, todo)
 		e.mu.Lock()
 		for j, key := range todo {
 			id := key.String()
@@ -183,8 +185,8 @@ func (e *PerfEvaluator) suiteCPIs(keys []l1dKey) [][]float64 {
 // simulate runs the whole suite once for a set of configurations.
 // Workers pull benchmarks from a shared index; each benchmark's trace
 // is generated once and stepped through one machine per configuration.
-func (e *PerfEvaluator) simulate(keys []l1dKey) [][]float64 {
-	sp := obs.StartSpan("suite_cpi " + strconv.Itoa(len(keys)) + " configs")
+func (e *PerfEvaluator) simulate(ctx context.Context, keys []l1dKey) [][]float64 {
+	_, sp := obs.StartSpan(ctx, "suite_cpi "+strconv.Itoa(len(keys))+" configs")
 	defer sp.End()
 	runSec := obs.H("perf_benchmark_run_seconds", obs.ExpBuckets(1e-3, 4, 10))
 	cpiHist := obs.H("perf_benchmark_cpi", obs.LinearBuckets(0.5, 0.25, 14))
@@ -200,11 +202,11 @@ func (e *PerfEvaluator) simulate(keys []l1dKey) [][]float64 {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(runtime.GOMAXPROCS(0), len(suite)); w++ {
+	for range min(runtime.GOMAXPROCS(0), len(suite)) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			ws := sp.Worker("cpi_runs", w)
+			ws := sp.Worker("cpi_runs")
 			defer ws.End()
 			for {
 				i := int(next.Add(1)) - 1
@@ -219,7 +221,7 @@ func (e *PerfEvaluator) simulate(keys []l1dKey) [][]float64 {
 					cpiHist.Observe(r.CPI)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return cpis
@@ -228,11 +230,11 @@ func (e *PerfEvaluator) simulate(keys []l1dKey) [][]float64 {
 // degradations returns, for each key, the per-benchmark CPI increase
 // (percent) relative to the unmodified cache, requesting the keys and
 // the baseline as one batch.
-func (e *PerfEvaluator) degradations(keys ...l1dKey) [][]float64 {
+func (e *PerfEvaluator) degradations(ctx context.Context, keys ...l1dKey) [][]float64 {
 	if len(keys) == 0 {
 		return nil
 	}
-	cpis := e.suiteCPIs(append([]l1dKey{baselineKey}, keys...))
+	cpis := e.suiteCPIs(ctx, append([]l1dKey{baselineKey}, keys...))
 	base := cpis[0]
 	out := make([][]float64, len(keys))
 	for k, cur := range cpis[1:] {
@@ -247,7 +249,7 @@ func (e *PerfEvaluator) degradations(keys ...l1dKey) [][]float64 {
 // Degradations returns the per-benchmark CPI increase (percent) of a
 // cache configuration relative to the unmodified cache.
 func (e *PerfEvaluator) Degradations(cfg CacheConfig, predicted int) []float64 {
-	return e.degradations(keyOf(cfg, predicted))[0]
+	return e.degradations(context.TODO(), keyOf(cfg, predicted))[0]
 }
 
 // AverageDegradation returns the suite-average CPI increase (percent).
@@ -285,7 +287,7 @@ type Table6 struct {
 // way-cycle vectors), so all of them and the baseline are requested as
 // one batch, which simulates each distinct configuration once.
 func (s *Study) Table6(e *PerfEvaluator) Table6 {
-	sp := obs.StartSpan("table6_cpi")
+	ctx, sp := obs.StartSpan(context.TODO(), "table6_cpi")
 	defer sp.End()
 	rows := s.SavedConfigurations()
 	out := Table6{}
@@ -327,7 +329,7 @@ func (s *Study) Table6(e *PerfEvaluator) Table6 {
 		}
 		picks[i] = p
 	}
-	deg := e.degradations(keys...)
+	deg := e.degradations(ctx, keys...)
 	avg := func(k int) (float64, bool) {
 		if k < 0 {
 			return 0, false
@@ -419,7 +421,7 @@ type FigureSeries struct {
 // 3-1-0 under YAPD (way off) and VACA (5-cycle way kept on; the Hybrid
 // behaves identically here, Section 5.2).
 func (e *PerfEvaluator) Figure9() FigureSeries {
-	d := e.degradations(
+	d := e.degradations(context.TODO(),
 		keyOf(CacheConfig{WayCycles: []int{0, 4, 4, 4}, HRegionOff: -1}, 0),
 		keyOf(CacheConfig{WayCycles: []int{5, 4, 4, 4}, HRegionOff: -1}, 0))
 	return FigureSeries{
@@ -445,7 +447,7 @@ func (e *PerfEvaluator) Figure10() FigureSeries {
 // increase when all loads take one and two extra cycles (the scheduler
 // expecting the slower latency, so no bypass buffers are involved).
 func (e *PerfEvaluator) NaiveBinning() (plusOne, plusTwo float64) {
-	d := e.degradations(
+	d := e.degradations(context.TODO(),
 		keyOf(CacheConfig{WayCycles: []int{5, 5, 5, 5}, HRegionOff: -1}, 5),
 		keyOf(CacheConfig{WayCycles: []int{6, 6, 6, 6}, HRegionOff: -1}, 6))
 	return stats.Mean(d[0]), stats.Mean(d[1])

@@ -1,6 +1,7 @@
 package yieldcache
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -237,7 +238,7 @@ func TestSuiteCPIBatchSingleflight(t *testing.T) {
 	e.inflight[slow.String()] = held
 	e.mu.Unlock()
 	done := make(chan [][]float64)
-	go func() { done <- e.suiteCPIs([]l1dKey{slow, baselineKey, twoSlow, slow}) }()
+	go func() { done <- e.suiteCPIs(context.Background(), []l1dKey{slow, baselineKey, twoSlow, slow}) }()
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -291,7 +292,7 @@ func TestSuiteCPIBatchSingleflight(t *testing.T) {
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			batches[i] = e.degradations(slow, twoSlow, keyOf(cfg, 5))
+			batches[i] = e.degradations(context.Background(), slow, twoSlow, keyOf(cfg, 5))
 		}(i)
 	}
 	wg.Wait()

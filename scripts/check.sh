@@ -3,7 +3,10 @@
 # facade + README/docs flag sync, see scripts/docgate), the full test
 # suite under the race detector (the metrics registry, tracer and
 # yieldd server must stay safe under the parallel population build),
-# and the chaos-tagged storage fault-injection suite.
+# the chaos-tagged storage fault-injection suite, and vet plus tests of
+# the benchmark module in perfbench/, which compiles against the
+# internal packages and so catches an internal API change that breaks
+# the benchmark before the benchmark runs.
 #
 # Usage: scripts/check.sh
 set -eu
@@ -29,5 +32,8 @@ go test -race ./...
 
 echo "== go test -race -tags chaos (storage fault injection) =="
 go test -race -tags chaos ./internal/store/...
+
+echo "== perfbench: go vet + go test (benchmark module) =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "check.sh: all green"

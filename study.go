@@ -131,7 +131,7 @@ func NewStudy(cfg StudyConfig) *Study {
 // study's phase spans and progress counters land on that scope instead
 // of the process-global tracer.
 func NewStudyCtx(ctx context.Context, cfg StudyConfig) (*Study, error) {
-	sp := obs.StartSpanCtx(ctx, "new_study")
+	ctx, sp := obs.StartSpan(ctx, "new_study")
 	defer sp.End()
 	if cfg.Seed == 0 {
 		cfg.Seed = 2006
@@ -154,7 +154,7 @@ func NewStudyCtx(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	lsp := obs.StartSpanCtx(ctx, "derive_limits")
+	_, lsp := obs.StartSpan(ctx, "derive_limits")
 	lim := core.DeriveLimits(res.Regular, cons)
 	lsp.End()
 	return &Study{
