@@ -401,19 +401,20 @@ func BenchmarkEstimateArmed(b *testing.B) {
 }
 
 // BenchmarkMeasure is the steady-state single-chip kernel: one warm
-// evaluator, one reused destination. The interesting numbers are
-// allocs/op (must be 0) and ns/op.
+// evaluator, one reused destination, the batch kernel at width one.
+// The interesting numbers are allocs/op (must be 0) and ns/op.
 func BenchmarkMeasure(b *testing.B) {
 	model := sram.NewModel(circuit.PTM45(), false)
 	sampler := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 2006)
 	ev := model.NewEvaluator(sampler.NewScratch())
 	var cm sram.CacheMeasurement
-	warm := ev.Scratch().Chip(0)
-	ev.Measure(&warm, &cm) // sizes cm and the kernel scratch outside the timer
+	ids := []int{0}
+	dst := []*sram.CacheMeasurement{&cm}
+	ev.MeasureBatch(ids, dst) // sizes cm and the kernel scratch outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chip := ev.Scratch().Chip(i)
-		ev.Measure(&chip, &cm)
+		ids[0] = i
+		ev.MeasureBatch(ids, dst)
 	}
 }
 

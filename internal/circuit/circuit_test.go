@@ -230,20 +230,20 @@ func TestPathDelaySums(t *testing.T) {
 	}
 }
 
-func TestDeviceWireFromNode(t *testing.T) {
+func TestDeviceWireOf(t *testing.T) {
 	spec := variation.Nassif45nm()
-	s := variation.NewSampler(spec, variation.PaperFactors(), 11)
-	n := s.Chip(0)
-	d := DeviceFrom(n)
-	w := WireFrom(n)
+	sc := variation.NewSampler(spec, variation.PaperFactors(), 11).NewScratch()
+	n := sc.Chip(0)
+	d := DeviceOf(&n.Values, &spec)
+	w := WireOf(&n.Values, &spec)
 	if math.Abs(d.VtV-n.Values[variation.Vt]/1000) > 1e-12 {
-		t.Errorf("DeviceFrom Vt conversion wrong: %v", d.VtV)
+		t.Errorf("DeviceOf Vt conversion wrong: %v", d.VtV)
 	}
-	if d.DLeff != n.Delta(variation.Leff) {
-		t.Error("DeviceFrom DLeff wrong")
+	if d.DLeff != sc.Delta(&n, variation.Leff) {
+		t.Error("DeviceOf DLeff wrong")
 	}
-	if w.DW != n.Delta(variation.W) || w.DT != n.Delta(variation.T) || w.DH != n.Delta(variation.H) {
-		t.Error("WireFrom deltas wrong")
+	if w.DW != sc.Delta(&n, variation.W) || w.DT != sc.Delta(&n, variation.T) || w.DH != sc.Delta(&n, variation.H) {
+		t.Error("WireOf deltas wrong")
 	}
 }
 

@@ -463,7 +463,7 @@ func TestSavedConfigurations(t *testing.T) {
 
 func TestRegularAndHYAPDShareDraws(t *testing.T) {
 	reg := mustBuild(t, PopulationConfig{N: 30, Seed: 7, Org: OrgRegular}).Regular
-	hor := mustBuild(t, PopulationConfig{N: 30, Seed: 7, Org: OrgHYAPD}).Horizontal
+	hor := mustBuild(t, PopulationConfig{N: 30, Seed: 7}).Horizontal
 	for i := range reg.Chips {
 		ratio := hor.Chips[i].Meas.LatencyPS / reg.Chips[i].Meas.LatencyPS
 		if math.Abs(ratio-sram.HYAPDLatencyPenalty) > 1e-9 {

@@ -120,7 +120,7 @@ func (d *DeltaBuilder) BuildPair(ctx context.Context, tech circuit.Tech) (regula
 // between batches.
 func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech,
 	eval func(ev *sram.Evaluator, k, lo int, regV, horV []*sram.CacheMeasurement)) (regular, horizontal *Population, err error) {
-	regModel := newModelWithGeom(tech, false, &d.geom)
+	regModel, horModel := newModels(tech, &d.geom)
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
 	regChips := newChipArena(d.cfg.N, d.geom, cancelled)
@@ -143,6 +143,6 @@ func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech,
 		return nil, nil, ctx.Err()
 	}
 	regular = &Population{Chips: regChips, Model: regModel, Seed: d.cfg.Seed}
-	horizontal = &Population{Chips: horChips, Model: newModelWithGeom(tech, true, &d.geom), Seed: d.cfg.Seed}
+	horizontal = &Population{Chips: horChips, Model: horModel, Seed: d.cfg.Seed}
 	return regular, horizontal, nil
 }

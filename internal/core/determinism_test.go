@@ -83,7 +83,6 @@ func TestBuildDeterminismMatrix(t *testing.T) {
 		{name: "regular only", build: with(func(c *PopulationConfig) { c.Org = OrgRegular; c.Workers = 3 })},
 		{name: "regular only workers=8", build: with(func(c *PopulationConfig) { c.Org = OrgRegular; c.Workers = 8 })},
 		{name: "regular only default workers", build: with(func(c *PopulationConfig) { c.Org = OrgRegular; c.Workers = 0 })},
-		{name: "H-YAPD only", build: with(func(c *PopulationConfig) { c.Org = OrgHYAPD; c.Workers = 3 })},
 		{name: fmt.Sprintf("resume at %d", k), build: with(func(c *PopulationConfig) {
 			c.Workers = 3
 			c.Checkpoint = &CheckpointConfig{Resume: &BuildCheckpoint{

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPopulationRoundTrip(t *testing.T) {
-	orig := mustBuild(t, PopulationConfig{N: 50, Seed: 11, Org: OrgHYAPD}).Horizontal
+	orig := mustBuild(t, PopulationConfig{N: 50, Seed: 11}).Horizontal
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -50,8 +50,6 @@ const (
 	OrgPair Organisation = iota
 	// OrgRegular measures the regular organisation only.
 	OrgRegular
-	// OrgHYAPD measures the H-YAPD organisation only.
-	OrgHYAPD
 )
 
 // PopulationConfig parameterises Build.
@@ -102,8 +100,8 @@ func (c *PopulationConfig) fill() {
 }
 
 // BuildResult is what Build returns. Regular holds the regular
-// organisation's population and Horizontal the H-YAPD one; the
-// organisation a build did not measure is nil. Estimate is the final
+// organisation's population and Horizontal the H-YAPD one, nil unless
+// the build measured the pair. Estimate is the final
 // streaming yield estimate, nil unless cfg.Estimate armed estimation.
 // When its EarlyStop field is set, the populations are truncated to
 // the (batch-aligned, fully measured) prefix at which the precision
@@ -141,8 +139,6 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	spanName := "build_population"
 	if pair {
 		spanName = "build_population/pair"
-	} else if cfg.Org == OrgHYAPD {
-		spanName = "build_population/hyapd"
 	}
 	scope := obs.ScopeFrom(ctx)
 	scope.SetProgressTotal(int64(cfg.N))
@@ -150,7 +146,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	defer sp.End()
 	begin := time.Now()
 
-	model := newModelWithGeom(*cfg.Tech, cfg.Org == OrgHYAPD, cfg.Geom)
+	model, horModel := newModels(*cfg.Tech, cfg.Geom)
 	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
 	geom := model.Geom
 
@@ -161,9 +157,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 
 	chips := newChipArena(cfg.N, geom, cancelled)
 	var horChips []Chip
-	var horModel *sram.Model
 	if pair {
-		horModel = newModelWithGeom(*cfg.Tech, true, cfg.Geom)
 		horChips = newChipArena(cfg.N, geom, cancelled)
 	}
 	if cancelled.Load() {
@@ -273,15 +267,9 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	if elapsed > 0 {
 		obs.G("core_population_chips_per_second").Set(float64(measured) / elapsed)
 	}
-	pop := &Population{Chips: chips[:built], Model: model, Seed: cfg.Seed}
-	switch cfg.Org {
-	case OrgPair:
-		res.Regular = pop
+	res.Regular = &Population{Chips: chips[:built], Model: model, Seed: cfg.Seed}
+	if pair {
 		res.Horizontal = &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed}
-	case OrgHYAPD:
-		res.Horizontal = pop
-	default:
-		res.Regular = pop
 	}
 	return res, nil
 }
@@ -317,15 +305,18 @@ func watchCancel(ctx context.Context) (*atomic.Bool, func()) {
 
 var neverCancelled atomic.Bool
 
-// newModelWithGeom builds an sram.Model and, when g is non-nil,
-// replaces the default paper geometry. The measurement kernel is fully
-// geometry-generic; only the variation mesh caps Ways at 4.
-func newModelWithGeom(tech circuit.Tech, hyapd bool, g *sram.Geometry) *sram.Model {
-	m := sram.NewModel(tech, hyapd)
+// newModels builds the regular and the H-YAPD sram.Model on tech and,
+// when g is non-nil, replaces the default paper geometry. The
+// measurement kernel is fully geometry-generic; only the variation mesh
+// caps Ways at 4.
+func newModels(tech circuit.Tech, g *sram.Geometry) (reg, hor *sram.Model) {
+	reg = sram.NewModel(tech, false)
 	if g != nil {
-		m.Geom = *g
+		reg.Geom = *g
 	}
-	return m
+	h := *reg
+	h.HYAPD = true
+	return reg, &h
 }
 
 // newChipArena allocates a chip slice whose per-chip measurement slices

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"yieldcache/internal/circuit"
 	"yieldcache/internal/obs"
+	"yieldcache/internal/sram"
+	"yieldcache/internal/variation"
 )
 
 // goldenChip pins a chip's measurement to hex-exact values captured
@@ -101,20 +104,26 @@ func TestGoldenSeed2006(t *testing.T) {
 }
 
 // TestPairMatchesDoubleBuild checks that one shared-draw pair build
-// equals two independent single builds chip for chip, for both
-// organisations.
+// equals two independent measurements chip for chip: a regular-only
+// build, and a direct H-YAPD measurement of every chip.
 func TestPairMatchesDoubleBuild(t *testing.T) {
 	cfg := PopulationConfig{N: 64, Seed: 41}
 	reg, hor := buildPair(t, cfg)
 	wantReg := mustBuild(t, PopulationConfig{N: 64, Seed: 41, Org: OrgRegular}).Regular
-	wantHor := mustBuild(t, PopulationConfig{N: 64, Seed: 41, Org: OrgHYAPD}).Horizontal
 	if !reflect.DeepEqual(reg.Chips, wantReg.Chips) {
 		t.Fatal("pair regular population diverges from single build")
 	}
-	if !reflect.DeepEqual(hor.Chips, wantHor.Chips) {
-		t.Fatal("pair H-YAPD population diverges from single build")
+	sampler := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), cfg.Seed)
+	ev := sram.NewModel(circuit.PTM45(), true).NewEvaluator(sampler.NewScratch())
+	defer ev.Release()
+	var want sram.CacheMeasurement
+	for i, c := range hor.Chips {
+		ev.MeasureBatch([]int{i}, []*sram.CacheMeasurement{&want})
+		if c.ID != i || !reflect.DeepEqual(c.Meas, want) {
+			t.Fatalf("pair H-YAPD chip %d diverges from a direct H-YAPD measurement", i)
+		}
 	}
-	if !reg.Model.HYAPD == false || hor.Model.HYAPD != true {
+	if reg.Model.HYAPD || !hor.Model.HYAPD {
 		t.Fatal("pair models carry wrong organisations")
 	}
 }
@@ -126,7 +135,7 @@ func TestPairMatchesDoubleBuild(t *testing.T) {
 func TestBuildPopulationCtxCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, org := range []Organisation{OrgPair, OrgRegular, OrgHYAPD} {
+	for _, org := range []Organisation{OrgPair, OrgRegular} {
 		if _, err := Build(cancelled, PopulationConfig{N: 10, Seed: 1, Org: org}); err != context.Canceled {
 			t.Errorf("Build(org %d) on cancelled ctx = %v, want context.Canceled", org, err)
 		}

@@ -122,8 +122,7 @@ func TestSchemesShipOnlyValidConfigs(t *testing.T) {
 	// parameters, meet the delay limit at the shipped cycle counts and
 	// the leakage limit on the enabled portion. configValid is the same
 	// checker the noise study uses.
-	pop := mustBuild(t, PopulationConfig{N: 600, Seed: 2006, Org: OrgRegular}).Regular
-	hor := mustBuild(t, PopulationConfig{N: 600, Seed: 2006, Org: OrgHYAPD}).Horizontal
+	pop, hor := buildPair(t, PopulationConfig{N: 600, Seed: 2006})
 	lim := DeriveLimits(pop, Nominal())
 	vertical := []Scheme{Base{}, YAPD{}, VACA{}, Hybrid{},
 		NaiveBinning{MaxCycles: 5}, NaiveBinning{MaxCycles: 6},

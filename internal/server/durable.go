@@ -213,11 +213,18 @@ func (s *Server) recordTimeout(rec store.JobRecord) time.Duration {
 // job record, so a resumed build runs exactly the study the crashed
 // server admitted, continuing from its checkpoint when that decodes.
 func restoreStudy(s *Server, rec store.JobRecord, ckpt []byte) (jobRequest, error) {
+	if err := s.checkChips(rec.Chips); err != nil {
+		return nil, err
+	}
+	schemes, err := normalizeSchemes(rec.Schemes)
+	if err != nil {
+		return nil, err
+	}
 	p := params{
 		seed:       rec.Seed,
 		chips:      rec.Chips,
 		cons:       yieldcache.Constraints{Name: rec.ConsName, DelaySigmaK: rec.DelaySigmaK, LeakageMult: rec.LeakageMult},
-		schemes:    rec.Schemes,
+		schemes:    schemes,
 		timeout:    s.recordTimeout(rec),
 		targetCI:   rec.TargetCIWidth,
 		confidence: rec.Confidence,
@@ -297,6 +304,8 @@ func (s *Server) recoverFromStore() {
 		case jobQueued, jobRunning:
 			s.resumeJob(jr)
 			resumed++
+		default:
+			s.log.Warn("job record has an unknown state; skipped", "job", jr.ID, "state", jr.State)
 		}
 	}
 	obs.C("server_store_recoveries_total").Inc()

@@ -528,16 +528,23 @@ func (s *Server) parseRequest(req *StudyRequest) (params, error) {
 // resolveChips applies the default population size (2000) and the
 // server's -max-chips limit to a requested size.
 func (s *Server) resolveChips(chips int) (int, error) {
-	switch {
-	case chips == 0:
+	if chips == 0 {
 		chips = 2000
-	case chips < 0:
-		return chips, fmt.Errorf("chips must be positive, got %d", chips)
 	}
-	if chips > s.cfg.MaxChips {
-		return chips, fmt.Errorf("chips %d exceeds the server limit %d", chips, s.cfg.MaxChips)
+	return chips, s.checkChips(chips)
+}
+
+// checkChips refuses a population size outside 1..MaxChips. Restored
+// jobs pass through it too: a persisted record is re-checked against
+// the limits of the server that resumes it.
+func (s *Server) checkChips(chips int) error {
+	switch {
+	case chips <= 0:
+		return fmt.Errorf("chips must be positive, got %d", chips)
+	case chips > s.cfg.MaxChips:
+		return fmt.Errorf("chips %d exceeds the server limit %d", chips, s.cfg.MaxChips)
 	}
-	return chips, nil
+	return nil
 }
 
 // resolveTimeout applies the server's default and maximum timeouts to a

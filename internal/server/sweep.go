@@ -293,18 +293,9 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 		return sp, err
 	}
 
-	// The planner materialises every config, so an oversized grid is
-	// refused from its dimensions alone: a few KB of axis values must
-	// not cost seconds of planning before the limit check.
-	if n := spec.ConfigCount(); n > s.cfg.MaxSweepConfigs {
-		return sp, fmt.Errorf("sweep resolves to %d configs, exceeding the server limit %d",
-			n, s.cfg.MaxSweepConfigs)
-	}
-	plan, err := yieldcache.PlanSweep(spec)
-	if err != nil {
+	if sp.plan, err = s.planSweep(spec); err != nil {
 		return sp, err
 	}
-	sp.plan = plan
 
 	if req.Economics != nil {
 		e := *req.Economics
@@ -348,7 +339,7 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 	// spell the same grid differently (explicit vs defaulted fields)
 	// share one key. Economics and timeout shape the response or the
 	// deadline, never the computation, so they stay out.
-	canonical, err := json.Marshal(sweepCanonical{Spec: plan.Spec, Schemes: sp.schemes})
+	canonical, err := json.Marshal(sweepCanonical{Spec: sp.plan.Spec, Schemes: sp.schemes})
 	if err != nil {
 		return sp, err
 	}
@@ -563,27 +554,44 @@ func sweepTotal(rec store.JobRecord) int {
 	return can.Spec.ConfigCount()
 }
 
+// planSweep plans spec within the server limits. The planner
+// materialises every config, so an oversized grid is refused from its
+// dimensions alone: a few KB of axis values must not cost seconds of
+// planning before the limit check.
+func (s *Server) planSweep(spec yieldcache.SweepSpec) (*yieldcache.SweepPlan, error) {
+	if err := s.checkChips(spec.N); err != nil {
+		return nil, err
+	}
+	if n := spec.ConfigCount(); n > s.cfg.MaxSweepConfigs {
+		return nil, fmt.Errorf("sweep resolves to %d configs, exceeding the server limit %d",
+			n, s.cfg.MaxSweepConfigs)
+	}
+	return yieldcache.PlanSweep(spec)
+}
+
 // restoreSweep replans a persisted sweep from its canonical spec bytes,
 // so a resumed sweep evaluates exactly the grid the crashed server
-// admitted, and overlays the configs its checkpoint already holds.
+// admitted, and overlays the configs its checkpoint already holds. The
+// spec is re-checked against this server's limits.
 func restoreSweep(s *Server, rec store.JobRecord, ckpt []byte) (jobRequest, error) {
 	var can sweepCanonical
 	if err := json.Unmarshal(rec.Spec, &can); err != nil {
 		return nil, fmt.Errorf("decoding canonical sweep spec: %w", err)
 	}
-	plan, err := yieldcache.PlanSweep(can.Spec)
+	plan, err := s.planSweep(can.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("replanning sweep: %w", err)
 	}
+	schemes, err := normalizeSchemes(can.Schemes)
+	if err != nil {
+		return nil, err
+	}
 	sp := sweepParams{
 		plan:      plan,
-		schemes:   can.Schemes,
+		schemes:   schemes,
 		timeout:   s.recordTimeout(rec),
 		canonical: rec.Spec,
 		cacheKey:  rec.Key,
-	}
-	if len(sp.schemes) == 0 {
-		sp.schemes = schemeOrder
 	}
 	if ckpt != nil {
 		var ck sweepCheckpoint

@@ -12,73 +12,46 @@ func evalFixture(hyapd bool) (*Model, *variation.Sampler) {
 	return NewModel(circuit.PTM45(), hyapd), variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 2006)
 }
 
-// TestEvaluatorMatchesTreeMeasure pins the value-typed kernel to the
-// tree-based path: for both decoder organisations, Evaluator.Measure
-// must reproduce Model.Measure(Node) field for field.
-func TestEvaluatorMatchesTreeMeasure(t *testing.T) {
-	for _, hyapd := range []bool{false, true} {
-		m, s := evalFixture(hyapd)
-		ev := m.NewEvaluator(s.NewScratch())
-		var got CacheMeasurement
-		for id := 0; id < 50; id++ {
-			want := m.Measure(s.Chip(id))
-			chip := ev.Scratch().Chip(id)
-			ev.Measure(&chip, &got)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("hyapd=%v chip %d: evaluator diverges from tree measure\nwant %+v\ngot  %+v",
-					hyapd, id, want, got)
-			}
-		}
-	}
+// measure evaluates chip id of s on m through the batch kernel at
+// width one.
+func measure(m *Model, s *variation.Sampler, id int) CacheMeasurement {
+	ev := m.NewEvaluator(s.NewScratch())
+	defer ev.Release()
+	var cm CacheMeasurement
+	ev.MeasureBatch([]int{id}, []*CacheMeasurement{&cm})
+	return cm
 }
 
 // TestMeasurePairMatchesSeparateBuilds pins the shared-draw guarantee:
-// one MeasurePair call must equal two independent measurements of the
-// same chip, one per decoder organisation — bit-identical, not merely
-// close.
+// each lane of one MeasurePairBatch call must equal two independent
+// measurements of the same chip, one per decoder organisation —
+// bit-identical, not merely close.
 func TestMeasurePairMatchesSeparateBuilds(t *testing.T) {
 	mReg, s := evalFixture(false)
 	mHor, _ := evalFixture(true)
 	ev := mReg.NewEvaluator(s.NewScratch())
-	var reg, hor CacheMeasurement
-	for id := 0; id < 50; id++ {
-		chip := ev.Scratch().Chip(id)
-		ev.MeasurePair(&chip, &reg, &hor)
-		wantReg := mReg.Measure(s.Chip(id))
-		wantHor := mHor.Measure(s.Chip(id))
-		if !reflect.DeepEqual(wantReg, reg) {
-			t.Fatalf("chip %d: regular half of pair diverges", id)
-		}
-		if !reflect.DeepEqual(wantHor, hor) {
-			t.Fatalf("chip %d: H-YAPD half of pair diverges", id)
-		}
+	evReg := mReg.NewEvaluator(s.NewScratch())
+	evHor := mHor.NewEvaluator(s.NewScratch())
+	ids := make([]int, 50)
+	for i := range ids {
+		ids[i] = i
 	}
-}
-
-// TestMeasureZeroAlloc verifies the kernel's steady state never touches
-// the heap: after the first measurement warms the destination, Measure
-// and MeasurePair are allocation-free.
-func TestMeasureZeroAlloc(t *testing.T) {
-	m, s := evalFixture(false)
-	ev := m.NewEvaluator(s.NewScratch())
-	var cm, reg, hor CacheMeasurement
-	chip := ev.Scratch().Chip(0)
-	ev.Measure(&chip, &cm)
-	ev.MeasurePair(&chip, &reg, &hor)
-
-	id := 1
-	if allocs := testing.AllocsPerRun(50, func() {
-		chip := ev.Scratch().Chip(id)
-		ev.Measure(&chip, &cm)
-		id++
-	}); allocs != 0 {
-		t.Errorf("warm Measure allocates %.1f times per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		chip := ev.Scratch().Chip(id)
-		ev.MeasurePair(&chip, &reg, &hor)
-		id++
-	}); allocs != 0 {
-		t.Errorf("warm MeasurePair allocates %.1f times per run, want 0", allocs)
+	for lo := 0; lo < len(ids); lo += BatchWidth {
+		batch := ids[lo:min(lo+BatchWidth, len(ids))]
+		reg := measViews(len(batch), mReg.Geom)
+		hor := measViews(len(batch), mReg.Geom)
+		wantReg := measViews(len(batch), mReg.Geom)
+		wantHor := measViews(len(batch), mHor.Geom)
+		ev.MeasurePairBatch(batch, reg, hor)
+		evReg.MeasureBatch(batch, wantReg)
+		evHor.MeasureBatch(batch, wantHor)
+		for l, id := range batch {
+			if !reflect.DeepEqual(*wantReg[l], *reg[l]) {
+				t.Fatalf("chip %d: regular half of pair diverges", id)
+			}
+			if !reflect.DeepEqual(*wantHor[l], *hor[l]) {
+				t.Fatalf("chip %d: H-YAPD half of pair diverges", id)
+			}
+		}
 	}
 }

@@ -16,7 +16,7 @@ func TestMeasurementInvariantsProperty(t *testing.T) {
 	m := NewModel(circuit.PTM45(), false)
 	s := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 99)
 	f := func(id uint16) bool {
-		cm := m.Measure(s.Chip(int(id)))
+		cm := measure(m, s, int(id))
 		for _, w := range cm.Ways {
 			sum := w.PeriphLeakW
 			maxBank := 0.0
@@ -57,7 +57,7 @@ func TestNominalChipIsNominal(t *testing.T) {
 	spec.Sigma3Pct = variation.Values{} // all zero: no variation at all
 	s := variation.NewSampler(spec, variation.PaperFactors(), 1)
 	m := NewModel(circuit.PTM45(), false)
-	cm := m.Measure(s.Chip(0))
+	cm := measure(m, s, 0)
 
 	// The farthest modelled row: bank 3, slot 3 -> row 48 of that bank.
 	farthest := (float64(3*64) + 48 + 0.5) / 256
@@ -84,7 +84,7 @@ func TestLeakageScalesWithCellCount(t *testing.T) {
 	spec.Sigma3Pct = variation.Values{}
 	s := variation.NewSampler(spec, variation.PaperFactors(), 1)
 	m := NewModel(tech, false)
-	cm := m.Measure(s.Chip(0))
+	cm := measure(m, s, 0)
 	// Zero variation: leakage = cells * CellLeakage * (1 + periphery).
 	cells := float64(m.Geom.Ways * m.Geom.CellsPerWay())
 	want := cells * tech.CellLeakage * (1 + tech.PeripheryLeakFrac)

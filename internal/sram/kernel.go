@@ -68,19 +68,14 @@ type DrawSet struct {
 func (ds *DrawSet) Len() int { return ds.Chips.Len() }
 
 // Sample draws the full variation tree of the given chips into ds,
-// reusing its buffers. Lane l holds chip ids[l]; every draw is
+// reusing its buffers, in the region structure of the scalar
+// measureRef/measureWay walk. Lane l holds chip ids[l]; every draw is
 // bit-identical to the scalar Scratch walk of the same chip.
 func (e *Evaluator) Sample(ids []int, ds *DrawSet) {
 	ds.IDs = append(ds.IDs[:0], ids...)
-	e.sc.ChipBatch(ids, &ds.Chips)
-	e.sampleRegions(ds)
-}
-
-// sampleRegions draws every region batch below the already-filled chip
-// roots, mirroring the scalar measureRef/measureWay sampling structure.
-func (e *Evaluator) sampleRegions(ds *DrawSet) {
 	g := e.m.Geom
 	sc := e.sc
+	sc.ChipBatch(ids, &ds.Chips)
 	nb, np := g.BanksPerWay, g.PathsPerBank
 	sc.ChildrenBatch(&ds.Chips, bandFactor, 5000, nb*np, &ds.Bands)
 	sc.ChildrenBatch(&ds.Chips, bandFactor, 6000, nb, &ds.BankBands)
@@ -107,8 +102,7 @@ func (e *Evaluator) sampleRegions(ds *DrawSet) {
 // through kernelPool so that building a population costs a pool Get
 // instead of re-allocating the ~40 column slices per evaluator.
 type kernelScratch struct {
-	ds        DrawSet              // draw storage for Measure/MeasureBatch
-	one, oneH [1]*CacheMeasurement // width-1 views for the scalar entry points
+	ds DrawSet // draw storage for MeasureBatch/MeasurePairBatch
 
 	// stageNom caches stageNominals for stageGeom so a recycled scratch
 	// hands the table to its next evaluator without reallocating it.
@@ -144,7 +138,6 @@ var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 // handful of allocations.
 func (e *Evaluator) Release() {
 	if e.ks != nil {
-		e.ks.one[0], e.ks.oneH[0] = nil, nil
 		kernelPool.Put(e.ks)
 		e.ks = nil
 	}
@@ -389,16 +382,6 @@ func DiffTech(a, b circuit.Tech) TechParts {
 		p.Delay, p.LeakFactors, p.LeakScale = true, true, true
 	}
 	return p
-}
-
-// Eval evaluates every lane of ds into dst under the model's cache
-// organisation. dst[l] receives the chip in lane l; storage is
-// (re-)prepared in place.
-func (e *Evaluator) Eval(ds *DrawSet, dst []*CacheMeasurement) {
-	for l := range dst {
-		Prepare(dst[l], e.m.Geom)
-	}
-	e.eval(ds, dst, e.m.HYAPD, true, true, nil)
 }
 
 // EvalPair evaluates every lane of ds into both cache organisations:

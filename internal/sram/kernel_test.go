@@ -27,7 +27,8 @@ func TestBatchKernelMatchesScalarReference(t *testing.T) {
 	for _, hyapd := range []bool{false, true} {
 		m, s := evalFixture(hyapd)
 		ev := m.NewEvaluator(s.NewScratch())
-		ref := m.NewEvaluator(s.NewScratch())
+		sc := s.NewScratch()
+		ref := m.NewEvaluator(sc)
 		id := 0
 		for _, width := range []int{1, 2, BatchWidth - 1, BatchWidth, BatchWidth + 1, 2*BatchWidth + 3} {
 			ids := make([]int, width)
@@ -38,7 +39,7 @@ func TestBatchKernelMatchesScalarReference(t *testing.T) {
 			got := measViews(width, m.Geom)
 			ev.MeasureBatch(ids, got)
 			for j, cid := range ids {
-				chip := ref.Scratch().Chip(cid)
+				chip := sc.Chip(cid)
 				var want CacheMeasurement
 				ref.measureRef(&chip, &want, hyapd)
 				if !reflect.DeepEqual(want, *got[j]) {
@@ -51,19 +52,20 @@ func TestBatchKernelMatchesScalarReference(t *testing.T) {
 }
 
 // TestMeasurePairBatchMatchesScalarPair pins the batched pair path:
-// each lane must equal the scalar MeasurePair (itself pinned to two
-// independent measurements).
+// each lane must equal the scalar reference measurement of the regular
+// organisation with the H-YAPD half derived from it.
 func TestMeasurePairBatchMatchesScalarPair(t *testing.T) {
 	m, s := evalFixture(false)
 	ev := m.NewEvaluator(s.NewScratch())
-	ref := m.NewEvaluator(s.NewScratch())
+	sc := s.NewScratch()
+	ref := m.NewEvaluator(sc)
 	ids := []int{3, 7, 11, 19, 23}
 	reg := measViews(len(ids), m.Geom)
 	hor := measViews(len(ids), m.Geom)
 	ev.MeasurePairBatch(ids, reg, hor)
 	var wantReg, wantHor CacheMeasurement
 	for j, cid := range ids {
-		chip := ref.Scratch().Chip(cid)
+		chip := sc.Chip(cid)
 		ref.measureRef(&chip, &wantReg, false)
 		deriveHYAPD(&wantReg, &wantHor, m.Geom)
 		if !reflect.DeepEqual(wantReg, *reg[j]) {
@@ -77,34 +79,36 @@ func TestMeasurePairBatchMatchesScalarPair(t *testing.T) {
 
 // TestBatchZeroAlloc verifies the batched entry points are
 // allocation-free once warm — the property the population builder's
-// throughput depends on.
+// throughput depends on — at the builder's width and at width one.
 func TestBatchZeroAlloc(t *testing.T) {
-	m, s := evalFixture(false)
-	ev := m.NewEvaluator(s.NewScratch())
-	ids := make([]int, BatchWidth)
-	dst := measViews(BatchWidth, m.Geom)
-	hor := measViews(BatchWidth, m.Geom)
-	ev.MeasureBatch(ids, dst)
-	ev.MeasurePairBatch(ids, dst, hor)
-
-	next := BatchWidth
-	if allocs := testing.AllocsPerRun(20, func() {
-		for j := range ids {
-			ids[j] = next
-			next++
-		}
+	for _, width := range []int{1, BatchWidth} {
+		m, s := evalFixture(false)
+		ev := m.NewEvaluator(s.NewScratch())
+		ids := make([]int, width)
+		dst := measViews(width, m.Geom)
+		hor := measViews(width, m.Geom)
 		ev.MeasureBatch(ids, dst)
-	}); allocs != 0 {
-		t.Errorf("warm MeasureBatch allocates %.1f times per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		for j := range ids {
-			ids[j] = next
-			next++
-		}
 		ev.MeasurePairBatch(ids, dst, hor)
-	}); allocs != 0 {
-		t.Errorf("warm MeasurePairBatch allocates %.1f times per run, want 0", allocs)
+
+		next := width
+		if allocs := testing.AllocsPerRun(20, func() {
+			for j := range ids {
+				ids[j] = next
+				next++
+			}
+			ev.MeasureBatch(ids, dst)
+		}); allocs != 0 {
+			t.Errorf("width %d: warm MeasureBatch allocates %.1f times per run, want 0", width, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			for j := range ids {
+				ids[j] = next
+				next++
+			}
+			ev.MeasurePairBatch(ids, dst, hor)
+		}); allocs != 0 {
+			t.Errorf("width %d: warm MeasurePairBatch allocates %.1f times per run, want 0", width, allocs)
+		}
 	}
 }
 

@@ -121,9 +121,9 @@ func Prepare(dst *CacheMeasurement, g Geometry) {
 // Evaluator is the single-pass measurement engine: one variation
 // scratch plus the reusable draw and derived-column storage of the
 // batched structure-of-arrays kernel (kernel.go), so that a warm
-// Measure or MeasureBatch does zero heap allocations. Evaluators are
-// not safe for concurrent use; the population builder gives each worker
-// its own.
+// MeasureBatch or MeasurePairBatch does zero heap allocations.
+// Evaluators are not safe for concurrent use; the population builder
+// gives each worker its own.
 type Evaluator struct {
 	m        *Model
 	sc       *variation.Scratch
@@ -147,47 +147,6 @@ func (m *Model) NewEvaluator(sc *variation.Scratch) *Evaluator {
 		ks:       ks,
 		stageNom: ks.stageNom,
 	}
-}
-
-// Scratch returns the evaluator's variation scratch (chip root draws
-// come from it so that the whole pipeline shares one generator).
-func (e *Evaluator) Scratch() *variation.Scratch { return e.sc }
-
-// Measure evaluates the model's cache organisation on the chip
-// described by the root draw, into dst. Steady-state calls are
-// allocation-free once dst has been through one measurement (or
-// Prepare) at this geometry. It runs the batched kernel at width 1;
-// the result is bit-identical to the scalar reference path.
-func (e *Evaluator) Measure(chip *variation.Draw, dst *CacheMeasurement) {
-	ds := &e.ks.ds
-	ds.IDs = ds.IDs[:0]
-	ds.Chips.Resize(1)
-	ds.Chips.SetLane(0, chip)
-	e.sampleRegions(ds)
-	Prepare(dst, e.m.Geom)
-	e.ks.one[0] = dst
-	e.eval(ds, e.ks.one[:], e.m.HYAPD, true, true, nil)
-	e.ks.one[0] = nil
-}
-
-// MeasurePair evaluates both cache organisations from one set of
-// variation draws: the regular organisation into reg and H-YAPD into
-// hor. Because H-YAPD differs only by its constant decoder latency
-// penalty, the H-YAPD result is derived from the same path delays,
-// bit-identical to an independent H-YAPD measurement of the same chip —
-// the paper's "same process variation parameters" guarantee holds by
-// construction instead of by re-sampling.
-func (e *Evaluator) MeasurePair(chip *variation.Draw, reg, hor *CacheMeasurement) {
-	ds := &e.ks.ds
-	ds.IDs = ds.IDs[:0]
-	ds.Chips.Resize(1)
-	ds.Chips.SetLane(0, chip)
-	e.sampleRegions(ds)
-	Prepare(reg, e.m.Geom)
-	e.ks.one[0] = reg
-	e.eval(ds, e.ks.one[:], false, true, true, nil)
-	e.ks.one[0] = nil
-	deriveHYAPD(reg, hor, e.m.Geom)
 }
 
 // deriveHYAPD fills hor with the H-YAPD organisation's measurement of
@@ -221,19 +180,6 @@ func deriveHYAPD(reg, hor *CacheMeasurement, g Geometry) {
 		}
 		hor.LeakageW += hw.LeakageW
 	}
-}
-
-// Measure evaluates the cache on the chip described by the variation
-// root node. It is the tree-based compatibility entry point; the
-// population builder uses an Evaluator directly to amortise scratch
-// state across chips.
-func (m *Model) Measure(chip *variation.Node) CacheMeasurement {
-	e := m.NewEvaluator(chip.NewScratch())
-	defer e.Release()
-	d := chip.AsDraw()
-	var cm CacheMeasurement
-	e.Measure(&d, &cm)
-	return cm
 }
 
 // LatencyWithoutBank returns the way's slowest path when physical bank b

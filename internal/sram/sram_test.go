@@ -47,7 +47,7 @@ func TestNominalStagesDistance(t *testing.T) {
 
 func TestMeasureShape(t *testing.T) {
 	m := NewModel(circuit.PTM45(), false)
-	cm := m.Measure(testSampler(1).Chip(0))
+	cm := measure(m, testSampler(1), 0)
 	if len(cm.Ways) != 4 {
 		t.Fatalf("ways = %d", len(cm.Ways))
 	}
@@ -100,12 +100,12 @@ func TestMeasureShape(t *testing.T) {
 func TestMeasureDeterminism(t *testing.T) {
 	m := NewModel(circuit.PTM45(), false)
 	s := testSampler(42)
-	a := m.Measure(s.Chip(7))
-	b := m.Measure(s.Chip(7))
+	a := measure(m, s, 7)
+	b := measure(m, s, 7)
 	if a.LatencyPS != b.LatencyPS || a.LeakageW != b.LeakageW {
 		t.Error("measurement is not deterministic for the same chip")
 	}
-	c := m.Measure(s.Chip(8))
+	c := measure(m, s, 8)
 	if a.LatencyPS == c.LatencyPS {
 		t.Error("different chips produced identical latency")
 	}
@@ -118,9 +118,8 @@ func TestHYAPDPenalty(t *testing.T) {
 	hor := NewModel(circuit.PTM45(), true)
 	s := testSampler(3)
 	for id := 0; id < 20; id++ {
-		chip := s.Chip(id)
-		a := reg.Measure(chip)
-		b := hor.Measure(chip)
+		a := measure(reg, s, id)
+		b := measure(hor, s, id)
 		if math.Abs(b.LatencyPS/a.LatencyPS-HYAPDLatencyPenalty) > 1e-9 {
 			t.Fatalf("chip %d: H-YAPD latency ratio = %v, want %v",
 				id, b.LatencyPS/a.LatencyPS, HYAPDLatencyPenalty)
@@ -133,7 +132,7 @@ func TestHYAPDPenalty(t *testing.T) {
 
 func TestLatencyWithoutBank(t *testing.T) {
 	m := NewModel(circuit.PTM45(), true)
-	cm := m.Measure(testSampler(4).Chip(1))
+	cm := measure(m, testSampler(4), 1)
 	w := cm.Ways[0]
 	// Find the critical bank; removing it must not increase latency and
 	// removing any other bank must leave latency unchanged.
@@ -154,7 +153,7 @@ func TestLatencyWithoutBank(t *testing.T) {
 
 func TestLeakageWithoutBank(t *testing.T) {
 	m := NewModel(circuit.PTM45(), true)
-	w := m.Measure(testSampler(5).Chip(2)).Ways[1]
+	w := measure(m, testSampler(5), 2).Ways[1]
 	for b := range w.Banks {
 		got := w.LeakageWithoutBank(b)
 		want := w.LeakageW - w.Banks[b].ArrayLeakW
@@ -183,7 +182,7 @@ func TestPopulationDistributions(t *testing.T) {
 	w0 := make([]float64, n)
 	w3 := make([]float64, n)
 	for i := 0; i < n; i++ {
-		cm := m.Measure(s.Chip(i))
+		cm := measure(m, s, i)
 		lat[i] = cm.LatencyPS
 		leak[i] = cm.LeakageW
 		w0[i] = cm.Ways[0].LatencyPS

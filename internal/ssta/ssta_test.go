@@ -183,10 +183,15 @@ func TestAnalyzeCacheAgainstMonteCarlo(t *testing.T) {
 	// Monte Carlo reference.
 	model := sram.NewModel(tech, false)
 	sampler := variation.NewSampler(spec, variation.PaperFactors(), 2006)
+	ev := model.NewEvaluator(sampler.NewScratch())
+	defer ev.Release()
 	n := 1500
 	lat := make([]float64, n)
+	var cm sram.CacheMeasurement
+	dst := []*sram.CacheMeasurement{&cm}
 	for i := 0; i < n; i++ {
-		lat[i] = model.Measure(sampler.Chip(i)).LatencyPS
+		ev.MeasureBatch([]int{i}, dst)
+		lat[i] = cm.LatencyPS
 	}
 	mcMean, mcSigma := stats.MeanStd(lat)
 

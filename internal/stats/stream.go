@@ -127,22 +127,6 @@ func ZForConfidence(conf float64) float64 {
 	return math.Sqrt2 * math.Erfinv(conf)
 }
 
-// NormalInterval returns the normal-approximation (Wald) confidence
-// interval for a Bernoulli proportion with k successes in n trials,
-// clamped to [0, 1]. It degenerates to a zero-width interval at p = 0
-// and p = 1 — which is why yield reporting uses WilsonInterval — but
-// is the textbook comparison point and is exposed for tests and for
-// mean-style intervals.
-func NormalInterval(k, n int64, conf float64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	p := float64(k) / float64(n)
-	z := ZForConfidence(conf)
-	half := z * math.Sqrt(p*(1-p)/float64(n))
-	return clamp01(p - half), clamp01(p + half)
-}
-
 // WilsonInterval returns the Wilson score confidence interval for a
 // Bernoulli proportion with k successes in n trials. Unlike the normal
 // approximation it stays meaningful at k = 0 and k = n (the interval

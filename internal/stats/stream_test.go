@@ -239,28 +239,43 @@ func TestWilsonIntervalEdges(t *testing.T) {
 	}
 }
 
+// normalInterval is the normal-approximation (Wald) confidence interval
+// for a Bernoulli proportion with k successes in n trials, clamped to
+// [0, 1]: the textbook comparison point for WilsonInterval. It
+// degenerates to a zero-width interval at p = 0 and p = 1, which is why
+// yield reporting uses WilsonInterval.
+func normalInterval(k, n int64, conf float64) (lo, hi float64) {
+	if n == 0 {
+		return 0, 1
+	}
+	p := float64(k) / float64(n)
+	z := ZForConfidence(conf)
+	half := z * math.Sqrt(p*(1-p)/float64(n))
+	return clamp01(p - half), clamp01(p + half)
+}
+
 func TestNormalIntervalEdges(t *testing.T) {
-	lo, hi := NormalInterval(0, 0, 0.95)
+	lo, hi := normalInterval(0, 0, 0.95)
 	if lo != 0 || hi != 1 {
 		t.Errorf("empty interval = [%v, %v], want [0, 1]", lo, hi)
 	}
 	// The Wald interval famously collapses at p = 0 and p = 1.
-	lo, hi = NormalInterval(50, 50, 0.95)
+	lo, hi = normalInterval(50, 50, 0.95)
 	if lo != 1 || hi != 1 {
 		t.Errorf("k=n normal interval = [%v, %v], want degenerate [1, 1]", lo, hi)
 	}
-	lo, hi = NormalInterval(0, 50, 0.95)
+	lo, hi = normalInterval(0, 50, 0.95)
 	if lo != 0 || hi != 0 {
 		t.Errorf("k=0 normal interval = [%v, %v], want degenerate [0, 0]", lo, hi)
 	}
 	// Away from the edges it brackets p and stays in [0, 1].
-	lo, hi = NormalInterval(30, 100, 0.95)
+	lo, hi = normalInterval(30, 100, 0.95)
 	if !(0 <= lo && lo < 0.3 && 0.3 < hi && hi <= 1) {
 		t.Errorf("normal interval [%v, %v] does not bracket 0.3", lo, hi)
 	}
 	// For moderate p and large n, Wilson and normal agree closely.
 	wlo, whi := WilsonInterval(5000, 10000, 0.95)
-	nlo, nhi := NormalInterval(5000, 10000, 0.95)
+	nlo, nhi := normalInterval(5000, 10000, 0.95)
 	if math.Abs(wlo-nlo) > 1e-3 || math.Abs(whi-nhi) > 1e-3 {
 		t.Errorf("Wilson [%v,%v] vs normal [%v,%v] diverge at large n", wlo, whi, nlo, nhi)
 	}

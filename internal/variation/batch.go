@@ -49,23 +49,6 @@ func (b *Batch) Resize(n int) {
 	b.n = n
 }
 
-// Lane returns the scalar Draw view of lane l.
-func (b *Batch) Lane(l int) Draw {
-	d := Draw{seed: b.Seeds[l]}
-	for p := range b.Col {
-		d.Values[p] = b.Col[p][l]
-	}
-	return d
-}
-
-// SetLane overwrites lane l with the given draw.
-func (b *Batch) SetLane(l int, d *Draw) {
-	b.Seeds[l] = d.seed
-	for p := range b.Col {
-		b.Col[p][l] = d.Values[p]
-	}
-}
-
 // ChipBatch fills dst with the root draws of the given chip ids, lane
 // i holding chip ids[i]. Each lane is bit-identical to Scratch.Chip of
 // the same id.

@@ -2,68 +2,50 @@ package variation
 
 import "testing"
 
-// TestScratchMatchesNodeTree pins the shared-draw contract: the
-// value-typed scratch path must reproduce the pointer-based node tree
-// draw for draw, at every level of the hierarchy.
-func TestScratchMatchesNodeTree(t *testing.T) {
+// TestBatchMatchesScratch pins the shared-draw contract: every lane of
+// the batched sampler must reproduce the scalar scratch walk of the same
+// chip draw for draw, seed included, at every level of the hierarchy.
+func TestBatchMatchesScratch(t *testing.T) {
 	s := NewSampler(Nassif45nm(), PaperFactors(), 2006)
 	sc := s.NewScratch()
-	for id := 0; id < 25; id++ {
-		root := s.Chip(id)
-		rootD := sc.Chip(id)
-		if root.Values != rootD.Values {
-			t.Fatalf("chip %d: root values differ\nnode:  %v\ndraw:  %v", id, root.Values, rootD.Values)
+	bs := s.NewScratch()
+	ids := []int{0, 1, 2, 7, 24}
+	lane := func(b *Batch, l int) Draw {
+		d := Draw{seed: b.Seeds[l]}
+		for p := range b.Col {
+			d.Values[p] = b.Col[p][l]
 		}
-		for w := 0; w < 4; w++ {
-			way := root.Way(w)
-			wayD := sc.Way(&rootD, w)
-			if way.Values != wayD.Values {
-				t.Fatalf("chip %d way %d: values differ", id, w)
+		return d
+	}
+	var chips, way, blk, row, mm Batch
+	bs.ChipBatch(ids, &chips)
+	for w := 0; w < 4; w++ {
+		bs.WayBatch(&chips, w, &way)
+		bs.BlocksBatch(&way, 3, 2, &blk)
+		bs.RowsBatch(&blk, 9, &row)
+		bs.ChildrenBatch(&blk, 1.0, 9000, 1, &mm)
+		for l, id := range ids {
+			chipD := sc.Chip(id)
+			if got := lane(&chips, l); got != chipD {
+				t.Fatalf("chip %d: root draws differ\nscalar: %v\nbatch:  %v", id, chipD, got)
 			}
-			blk := way.Block(3)
-			blkD := sc.Block(&wayD, 3)
-			if blk.Values != blkD.Values {
-				t.Fatalf("chip %d way %d block: values differ", id, w)
+			wayD := sc.Way(&chipD, w)
+			if lane(&way, l) != wayD {
+				t.Fatalf("chip %d way %d: draws differ", id, w)
 			}
-			row := blk.Row(9)
-			rowD := sc.Row(&blkD, 9)
-			if row.Values != rowD.Values {
-				t.Fatalf("chip %d way %d row: values differ", id, w)
-			}
-			bit := row.Bit(1)
-			bitD := sc.Bit(&rowD, 1)
-			if bit.Values != bitD.Values {
-				t.Fatalf("chip %d way %d bit: values differ", id, w)
-			}
-			mm := blk.Child(1.0, 9000)
-			mmD := sc.Child(&blkD, 1.0, 9000)
-			if mm.Values != mmD.Values {
-				t.Fatalf("chip %d way %d full-range child: values differ", id, w)
-			}
-			for p := Param(0); p < NumParams; p++ {
-				if row.Delta(p) != sc.Delta(&rowD, p) {
-					t.Fatalf("chip %d way %d param %v: deltas differ", id, w, p)
+			for j := 0; j < 2; j++ {
+				blkD := sc.Block(&wayD, int64(3+j))
+				if lane(&blk, 2*l+j) != blkD {
+					t.Fatalf("chip %d way %d block %d: draws differ", id, w, j)
+				}
+				if lane(&row, 2*l+j) != sc.Row(&blkD, 9) {
+					t.Fatalf("chip %d way %d block %d row: draws differ", id, w, j)
+				}
+				if lane(&mm, 2*l+j) != sc.Child(&blkD, 1.0, 9000) {
+					t.Fatalf("chip %d way %d block %d full-range child: draws differ", id, w, j)
 				}
 			}
 		}
-	}
-}
-
-// TestAsDrawBridges checks that a Node can enter the scratch path
-// mid-tree and keep producing identical subtrees.
-func TestAsDrawBridges(t *testing.T) {
-	s := NewSampler(Nassif45nm(), PaperFactors(), 7)
-	n := s.Chip(3).Way(2)
-	d := n.AsDraw()
-	sc := n.NewScratch()
-	if n.Values != d.Values {
-		t.Fatal("AsDraw changed values")
-	}
-	a := n.Block(5).Row(1)
-	bD := sc.Block(&d, 5)
-	b := sc.Row(&bD, 1)
-	if a.Values != b.Values {
-		t.Fatal("subtree from AsDraw diverges from node subtree")
 	}
 }
 
